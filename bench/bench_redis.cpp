@@ -94,7 +94,7 @@ int main(int argc, char **argv) {
          {"max_pause_ns", MaxPauseNs}});
   };
   EmitJson("jemalloc+activedefrag", Defrag, 0);
-  EmitJson("Mesh", WithMesh, static_cast<double>(Stats.MaxMeshPassNs.load()));
+  EmitJson("Mesh", WithMesh, static_cast<double>(Stats.maxPassNs()));
   EmitJson("Mesh-nomesh", NoMeshOut, 0);
 
   const double Reduction =
@@ -109,7 +109,7 @@ int main(int argc, char **argv) {
          Defrag.Result.MaintenanceSeconds /
              (WithMesh.Result.MaintenanceSeconds + 1e-9));
   printf("RESULT redis_longest_mesh_pause_ms %.2f (paper: 22)\n",
-         Stats.MaxMeshPassNs.load() * 1e-6);
+         Stats.maxPassNs() * 1e-6);
   printf("RESULT redis_insert_overhead_pct %.1f (paper: ~2)\n",
          100.0 * (WithMesh.Result.InsertSeconds /
                       (Defrag.Result.InsertSeconds + 1e-9) -

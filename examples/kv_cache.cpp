@@ -59,6 +59,6 @@ int main() {
          "longest pause %.2f ms\n",
          static_cast<unsigned long long>(Stats.MeshCount.load()),
          static_cast<unsigned long long>(Stats.PagesMeshed.load()),
-         Stats.MaxMeshPassNs.load() * 1e-6);
+         Stats.maxPassNs() * 1e-6);
   return 0;
 }

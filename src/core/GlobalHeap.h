@@ -79,6 +79,8 @@ public:
 
   char *arenaBase() const { return Arena.arenaBase(); }
   bool contains(const void *Ptr) const { return Arena.contains(Ptr); }
+  /// MeshProbes and MaxMeshesPerPass can change at run time; read them
+  /// through meshProbes() / maxMeshesPerPass() instead.
   const MeshOptions &options() const { return Opts; }
 
   /// Selects (or creates) a MiniHeap for \p SizeClass and marks it
@@ -324,8 +326,24 @@ public:
   uint64_t meshPeriodMs() const {
     return MeshPeriodMsAtomic.load(std::memory_order_relaxed);
   }
-  void setMeshProbes(uint32_t T) { Opts.MeshProbes = T; }
-  void setMaxMeshesPerPass(uint32_t Max) { Opts.MaxMeshesPerPass = Max; }
+  /// The SplitMesher knobs stay plain Opts fields: performMeshing reads
+  /// them under MeshLock, so their mallctl accessors take it too.
+  void setMeshProbes(uint32_t T) MESH_EXCLUDES(MeshLock) {
+    SpinLockGuard Guard(MeshLock);
+    Opts.MeshProbes = T;
+  }
+  uint32_t meshProbes() const MESH_EXCLUDES(MeshLock) {
+    SpinLockGuard Guard(MeshLock);
+    return Opts.MeshProbes;
+  }
+  void setMaxMeshesPerPass(uint32_t Max) MESH_EXCLUDES(MeshLock) {
+    SpinLockGuard Guard(MeshLock);
+    Opts.MaxMeshesPerPass = Max;
+  }
+  uint32_t maxMeshesPerPass() const MESH_EXCLUDES(MeshLock) {
+    SpinLockGuard Guard(MeshLock);
+    return Opts.MaxMeshesPerPass;
+  }
   bool randomized() const { return Opts.Randomized; }
 
   /// Test hook: number of detached, partially-full MiniHeaps currently

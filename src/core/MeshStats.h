@@ -10,6 +10,7 @@
 #ifndef MESH_CORE_MESHSTATS_H
 #define MESH_CORE_MESHSTATS_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -24,13 +25,11 @@ namespace mesh {
 enum class MeshPassOrigin { Foreground, Background };
 
 struct MeshStats {
-  std::atomic<uint64_t> MeshPasses{0};    ///< SplitMesher invocations.
   std::atomic<uint64_t> MeshCount{0};     ///< Pairs meshed.
   std::atomic<uint64_t> PagesMeshed{0};   ///< Physical pages released.
   std::atomic<uint64_t> BytesCopied{0};   ///< Object bytes relocated.
   std::atomic<uint64_t> MeshProbeCount{0};///< Meshability tests run.
   std::atomic<uint64_t> TotalMeshNs{0};   ///< Wall time inside passes.
-  std::atomic<uint64_t> MaxMeshPassNs{0}; ///< Longest single pause.
   std::atomic<uint64_t> PeakCommittedPages{0};
 
   /// Per-origin pass counts and worst-case durations (see
@@ -48,10 +47,19 @@ struct MeshStats {
   std::atomic<uint64_t> OomReturns{0};
   std::atomic<uint64_t> MeshRollbacks{0};
 
+  /// SplitMesher invocations of either origin.
+  uint64_t meshPasses() const {
+    return MeshPassesForeground.load(std::memory_order_relaxed) +
+           MeshPassesBackground.load(std::memory_order_relaxed);
+  }
+  /// Longest single pass of either origin.
+  uint64_t maxPassNs() const {
+    return std::max(MaxForegroundPassNs.load(std::memory_order_relaxed),
+                    MaxBackgroundPassNs.load(std::memory_order_relaxed));
+  }
+
   void recordPass(uint64_t Ns, MeshPassOrigin Origin) {
-    MeshPasses.fetch_add(1, std::memory_order_relaxed);
     TotalMeshNs.fetch_add(Ns, std::memory_order_relaxed);
-    maxInPlace(MaxMeshPassNs, Ns);
     if (Origin == MeshPassOrigin::Background) {
       MeshPassesBackground.fetch_add(1, std::memory_order_relaxed);
       maxInPlace(MaxBackgroundPassNs, Ns);

@@ -11,11 +11,13 @@
 #include "support/Sys.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
+#include <iterator>
 #include <unistd.h>
 
 namespace mesh {
@@ -232,68 +234,6 @@ __thread ThreadLocalHeap *CachedHeap
 /// Id 0 is reserved as "no cache".
 std::atomic<uint64_t> NextRuntimeId{1};
 
-/// Every mallctl leaf this dispatcher resolves, one name per entry.
-/// This is the authority behind the version.leaves enumeration leaf
-/// and is pinned against the doc comment in src/api/mesh/mesh.h by
-/// tests/core/MallctlLeavesTest.cpp — extend BOTH when adding a leaf.
-const char *const kMallctlLeaves[] = {
-    "mesh.enabled",
-    "mesh.period_ms",
-    "mesh.probes",
-    "mesh.max_per_pass",
-    "mesh.now",
-    "background.enabled",
-    "background.wakeups",
-    "background.requests",
-    "background.passes",
-    "background.poke_passes",
-    "background.pressure_passes",
-    "pressure.frag_ppm",
-    "pressure.rss_bytes",
-    "pressure.committed_bytes",
-    "pressure.in_use_bytes",
-    "pressure.span_bytes",
-    "heap.num_shards",
-    "heap.flush_dirty",
-    "epoch.fence_mode",
-    "stats.dirty_bytes",
-    "stats.bytes_copied",
-    "stats.mesh_passes",
-    "stats.mesh_passes_foreground",
-    "stats.mesh_passes_background",
-    "stats.max_pause_foreground_ns",
-    "stats.max_pause_background_ns",
-    "stats.committed_bytes",
-    "stats.peak_committed_bytes",
-    "stats.kernel_file_bytes",
-    "stats.mesh_count",
-    "stats.pages_meshed",
-    "stats.mesh_ns",
-    "stats.max_pause_ns",
-    "faults.injected",
-    "faults.retried",
-    "faults.oom_returns",
-    "faults.mesh_rollbacks",
-    "faults.punch_fallbacks",
-    "faults.reset",
-    "telemetry.enabled",
-    "telemetry.ring_size",
-    "telemetry.events",
-    "telemetry.overflow_events",
-    "telemetry.rings_in_use",
-    "telemetry.reset",
-    "telemetry.dump",
-    "telemetry.hist.mesh_pass",
-    "telemetry.hist.mesh_scan",
-    "telemetry.hist.mesh_remap",
-    "telemetry.hist.mesh_release",
-    "telemetry.hist.epoch_sync",
-    "telemetry.hist.span_acquire",
-    "telemetry.hist.punch_syscall",
-    "telemetry.hist.remap_syscall",
-    "version.leaves",
-};
-
 } // namespace
 
 Runtime::Runtime(const MeshOptions &Opts)
@@ -457,305 +397,273 @@ size_t Runtime::usableSize(const void *Ptr) const {
   return Global.usableSize(Ptr);
 }
 
+namespace {
+
+/// The caller's buffers for one mallctl call.
+struct MallctlCall {
+  void *OldP;
+  size_t *OldLenP;
+  const void *NewP;
+  size_t NewLen;
+};
+
+/// Serves the whole call for a leaf with its own buffer shape.
+using MallctlHandler = int (*)(Runtime &, const char *Name,
+                               const MallctlCall &);
+
+/// One mallctl leaf. Most leaves read as a u64 (Get); a writable one
+/// also accepts a NewP of exactly WriteBytes (Set, false = EINVAL). The
+/// rest have a Handle instead.
+struct MallctlLeaf {
+  const char *Name;
+  uint64_t (*Get)(Runtime &) = nullptr;
+  bool (*Set)(Runtime &, uint64_t) = nullptr;
+  size_t WriteBytes = sizeof(uint64_t);
+  MallctlHandler Handle = nullptr;
+};
+
+/// A row served entirely by \p Handle.
+constexpr MallctlLeaf handled(const char *Name, MallctlHandler Handle) {
+  return {Name, nullptr, nullptr, 0, Handle};
+}
+
+template <std::atomic<uint64_t> MeshStats::*Counter>
+uint64_t stat(Runtime &R) {
+  return (R.global().stats().*Counter).load(std::memory_order_relaxed);
+}
+
+/// The background.* leaves read 0 when the runtime has no mesher, so
+/// callers need no mode probing.
+template <auto Member> uint64_t background(Runtime &R) {
+  const BackgroundMesher *Mesher = R.backgroundMesher();
+  return Mesher != nullptr ? (Mesher->*Member)() : 0;
+}
+
+/// Always a fresh sample (no allocation): observability should not
+/// depend on whether the mesher happens to have woken recently. Only a
+/// registered pressure.* name pays for the page-table walk.
+PressureSample pressure(Runtime &R) {
+  GlobalHeapFootprintSource Src(R.global());
+  PressureConfig Cfg;
+  Cfg.FragThresholdPct = R.global().options().PressureFragThresholdPct;
+  Cfg.MinCommittedBytes = R.global().options().PressureMinCommittedBytes;
+  return PressureMonitor(Src, Cfg).sample();
+}
+
+/// telemetry.hist.<name>: the packed 64 x u64 bucket counters.
+int readHist(Runtime &, const char *Name, const MallctlCall &C) {
+  constexpr size_t Bytes = telemetry::kHistBuckets * sizeof(uint64_t);
+  const int H = telemetry::histIdByName(Name + strlen("telemetry.hist."));
+  if (H < 0)
+    return ENOENT;
+  if (C.OldP == nullptr || C.OldLenP == nullptr || *C.OldLenP < Bytes)
+    return EINVAL;
+  telemetry::readHistogram(static_cast<telemetry::HistId>(H),
+                           static_cast<uint64_t *>(C.OldP));
+  *C.OldLenP = Bytes;
+  return 0;
+}
+
+/// telemetry.dump: NewP carries the output path, with or without a
+/// trailing NUL.
+int dumpTrace(Runtime &, const char *, const MallctlCall &C) {
+  if (C.NewP == nullptr || C.NewLen == 0)
+    return EINVAL;
+  char Path[512];
+  size_t N = C.NewLen;
+  if (static_cast<const char *>(C.NewP)[N - 1] == '\0')
+    --N;
+  if (N == 0 || N >= sizeof(Path))
+    return EINVAL;
+  memcpy(Path, C.NewP, N);
+  Path[N] = '\0';
+  return telemetry::dumpTrace(Path);
+}
+
+int listLeaves(Runtime &, const char *, const MallctlCall &C);
+
+// Rows are in version.leaves order; src/api/mesh/mesh.h documents each
+// one, and tests/core/MallctlLeavesTest.cpp pins the two together.
+constexpr MallctlLeaf kMallctlTable[] = {
+    {"mesh.enabled",
+     [](Runtime &R) -> uint64_t { return R.global().meshingEnabled(); },
+     [](Runtime &R, uint64_t V) {
+       R.global().setMeshingEnabled(V != 0);
+       return true;
+     },
+     sizeof(bool)},
+    {"mesh.period_ms",
+     [](Runtime &R) -> uint64_t { return R.global().meshPeriodMs(); },
+     [](Runtime &R, uint64_t V) {
+       R.global().setMeshPeriodMs(V);
+       return true;
+     }},
+    {"mesh.probes",
+     [](Runtime &R) -> uint64_t { return R.global().meshProbes(); },
+     [](Runtime &R, uint64_t V) {
+       R.global().setMeshProbes(static_cast<uint32_t>(V));
+       return true;
+     }},
+    {"mesh.max_per_pass",
+     [](Runtime &R) -> uint64_t { return R.global().maxMeshesPerPass(); },
+     [](Runtime &R, uint64_t V) {
+       R.global().setMaxMeshesPerPass(static_cast<uint32_t>(V));
+       return true;
+     }},
+    {"mesh.now", [](Runtime &R) -> uint64_t { return R.meshNow(); }},
+    {"background.enabled", background<&BackgroundMesher::running>},
+    {"background.wakeups", background<&BackgroundMesher::wakeups>},
+    {"background.requests", background<&BackgroundMesher::requests>},
+    {"background.passes", background<&BackgroundMesher::passes>},
+    {"background.poke_passes", background<&BackgroundMesher::pokePasses>},
+    {"background.pressure_passes",
+     background<&BackgroundMesher::pressurePasses>},
+    {"pressure.frag_ppm",
+     [](Runtime &R) -> uint64_t { return pressure(R).FragPpm; }},
+    {"pressure.rss_bytes",
+     [](Runtime &R) -> uint64_t { return pressure(R).RssBytes; }},
+    {"pressure.committed_bytes",
+     [](Runtime &R) -> uint64_t {
+       return pressure(R).Footprint.CommittedBytes;
+     }},
+    {"pressure.in_use_bytes",
+     [](Runtime &R) -> uint64_t { return pressure(R).Footprint.InUseBytes; }},
+    {"pressure.span_bytes",
+     [](Runtime &R) -> uint64_t { return pressure(R).Footprint.SpanBytes; }},
+    {"heap.num_shards",
+     [](Runtime &) -> uint64_t { return GlobalHeap::kNumShards; }},
+    {"heap.flush_dirty",
+     [](Runtime &R) -> uint64_t { return R.global().flushDirtyPages(); }},
+    // 1 = asymmetric (expedited membarrier), 2 = seq-cst fallback; 0
+    // (undecided) is unreachable since the Runtime ctor decides.
+    {"epoch.fence_mode",
+     [](Runtime &) { return static_cast<uint64_t>(Epoch::fenceMode()); }},
+    {"stats.dirty_bytes",
+     [](Runtime &R) -> uint64_t { return R.global().dirtyBytes(); }},
+    {"stats.bytes_copied", stat<&MeshStats::BytesCopied>},
+    {"stats.mesh_passes",
+     [](Runtime &R) { return R.global().stats().meshPasses(); }},
+    {"stats.mesh_passes_foreground", stat<&MeshStats::MeshPassesForeground>},
+    {"stats.mesh_passes_background", stat<&MeshStats::MeshPassesBackground>},
+    {"stats.max_pause_foreground_ns", stat<&MeshStats::MaxForegroundPassNs>},
+    {"stats.max_pause_background_ns", stat<&MeshStats::MaxBackgroundPassNs>},
+    {"stats.committed_bytes",
+     [](Runtime &R) -> uint64_t { return R.committedBytes(); }},
+    {"stats.peak_committed_bytes",
+     [](Runtime &R) -> uint64_t {
+       return pagesToBytes(stat<&MeshStats::PeakCommittedPages>(R));
+     }},
+    // Committed minus meshed-away pages and punched holes: the meshing
+    // effectiveness number the soak harness tracks.
+    {"stats.kernel_file_bytes",
+     [](Runtime &R) -> uint64_t {
+       return pagesToBytes(R.global().kernelFilePages());
+     }},
+    {"stats.mesh_count", stat<&MeshStats::MeshCount>},
+    {"stats.pages_meshed", stat<&MeshStats::PagesMeshed>},
+    {"stats.mesh_ns", stat<&MeshStats::TotalMeshNs>},
+    {"stats.max_pause_ns",
+     [](Runtime &R) { return R.global().stats().maxPassNs(); }},
+    // Degradation observability (DESIGN.md "Failure policy"): injected
+    // and retried count the fault injector at the syscall seam; the
+    // rest count real degradations taken, injected or not.
+    {"faults.injected", [](Runtime &) { return sys::faultsInjected(); }},
+    {"faults.retried", [](Runtime &) { return sys::faultsRetried(); }},
+    {"faults.oom_returns", stat<&MeshStats::OomReturns>},
+    {"faults.mesh_rollbacks", stat<&MeshStats::MeshRollbacks>},
+    {"faults.punch_fallbacks",
+     [](Runtime &R) { return R.global().punchFallbackCount(); }},
+    handled("faults.reset",
+            [](Runtime &R, const char *, const MallctlCall &) {
+              sys::resetFaultCounters();
+              R.global().resetFaultCounters();
+              return 0;
+            }),
+    {"telemetry.enabled",
+     [](Runtime &) -> uint64_t { return telemetry::enabled(); },
+     [](Runtime &, uint64_t V) {
+       V != 0 ? telemetry::enable() : telemetry::disable();
+       return true;
+     },
+     sizeof(bool)},
+    {"telemetry.ring_size",
+     [](Runtime &) -> uint64_t { return telemetry::ringEvents(); },
+     [](Runtime &, uint64_t V) { return telemetry::setRingEvents(V); }},
+    {"telemetry.events",
+     [](Runtime &) -> uint64_t { return telemetry::eventsRecorded(); }},
+    {"telemetry.overflow_events",
+     [](Runtime &) -> uint64_t { return telemetry::overflowEvents(); }},
+    {"telemetry.rings_in_use",
+     [](Runtime &) -> uint64_t { return telemetry::ringsInUse(); }},
+    handled("telemetry.reset",
+            [](Runtime &, const char *, const MallctlCall &) {
+              telemetry::reset();
+              return 0;
+            }),
+    handled("telemetry.dump", dumpTrace),
+    handled("telemetry.hist.mesh_pass", readHist),
+    handled("telemetry.hist.mesh_scan", readHist),
+    handled("telemetry.hist.mesh_remap", readHist),
+    handled("telemetry.hist.mesh_release", readHist),
+    handled("telemetry.hist.epoch_sync", readHist),
+    handled("telemetry.hist.span_acquire", readHist),
+    handled("telemetry.hist.punch_syscall", readHist),
+    handled("telemetry.hist.remap_syscall", readHist),
+    handled("version.leaves", listLeaves),
+};
+
+/// version.leaves: every row's name, newline-joined and NUL-terminated.
+/// A null OldP reports the required buffer size.
+int listLeaves(Runtime &, const char *, const MallctlCall &C) {
+  size_t Needed = 1;
+  for (const MallctlLeaf &Leaf : kMallctlTable)
+    Needed += strlen(Leaf.Name) + 1;
+  if (C.OldLenP == nullptr)
+    return EINVAL;
+  if (C.OldP == nullptr) {
+    *C.OldLenP = Needed;
+    return 0;
+  }
+  if (*C.OldLenP < Needed)
+    return EINVAL;
+  char *Out = static_cast<char *>(C.OldP);
+  for (const MallctlLeaf &Leaf : kMallctlTable) {
+    const size_t N = strlen(Leaf.Name);
+    memcpy(Out, Leaf.Name, N);
+    Out += N;
+    *Out++ = '\n';
+  }
+  *Out = '\0';
+  *C.OldLenP = Needed;
+  return 0;
+}
+
+} // namespace
+
 int Runtime::mallctl(const char *Name, void *OldP, size_t *OldLenP,
                      void *NewP, size_t NewLen) {
-  auto ReadU64 = [&](uint64_t Value) -> int {
-    if (OldP == nullptr || OldLenP == nullptr || *OldLenP < sizeof(uint64_t))
-      return EINVAL;
-    memcpy(OldP, &Value, sizeof(uint64_t));
-    *OldLenP = sizeof(uint64_t);
-    return 0;
-  };
-  auto WriteBool = [&](bool *Target) -> int {
-    if (NewP == nullptr || NewLen != sizeof(bool))
-      return EINVAL;
-    bool Value;
-    memcpy(&Value, NewP, sizeof(bool));
-    *Target = Value;
-    return 0;
-  };
-
-  if (strcmp(Name, "mesh.enabled") == 0) {
-    if (NewP != nullptr) {
-      bool Value = Global.meshingEnabled();
-      const int Rc = WriteBool(&Value);
-      if (Rc != 0)
-        return Rc;
-      Global.setMeshingEnabled(Value);
-      return 0;
-    }
-    return ReadU64(Global.meshingEnabled() ? 1 : 0);
-  }
-  if (strcmp(Name, "mesh.period_ms") == 0) {
-    if (NewP != nullptr) {
-      if (NewLen != sizeof(uint64_t))
-        return EINVAL;
-      uint64_t Ms;
-      memcpy(&Ms, NewP, sizeof(uint64_t));
-      Global.setMeshPeriodMs(Ms);
-      return 0;
-    }
-    return ReadU64(Global.meshPeriodMs());
-  }
-  if (strcmp(Name, "mesh.probes") == 0) {
-    if (NewP != nullptr) {
-      if (NewLen != sizeof(uint64_t))
-        return EINVAL;
-      uint64_t T;
-      memcpy(&T, NewP, sizeof(uint64_t));
-      Global.setMeshProbes(static_cast<uint32_t>(T));
-      return 0;
-    }
-    return ReadU64(Global.options().MeshProbes);
-  }
-  if (strcmp(Name, "mesh.max_per_pass") == 0) {
-    if (NewP != nullptr) {
-      if (NewLen != sizeof(uint64_t))
-        return EINVAL;
-      uint64_t Max;
-      memcpy(&Max, NewP, sizeof(uint64_t));
-      Global.setMaxMeshesPerPass(static_cast<uint32_t>(Max));
-      return 0;
-    }
-    return ReadU64(Global.options().MaxMeshesPerPass);
-  }
-  if (strcmp(Name, "mesh.now") == 0)
-    return ReadU64(Global.meshNow());
-  if (strncmp(Name, "background.", 11) == 0) {
-    const char *Leaf = Name + 11;
-    if (strcmp(Leaf, "enabled") == 0)
-      return ReadU64(BgMesher != nullptr && BgMesher->running() ? 1 : 0);
-    if (BgMesher == nullptr) {
-      // The remaining leaves are counters of a thread that never
-      // existed; report them as zero so callers need no mode probing.
-      if (strcmp(Leaf, "wakeups") == 0 || strcmp(Leaf, "requests") == 0 ||
-          strcmp(Leaf, "passes") == 0 || strcmp(Leaf, "poke_passes") == 0 ||
-          strcmp(Leaf, "pressure_passes") == 0)
-        return ReadU64(0);
-      return ENOENT;
-    }
-    if (strcmp(Leaf, "wakeups") == 0)
-      return ReadU64(BgMesher->wakeups());
-    if (strcmp(Leaf, "requests") == 0)
-      return ReadU64(BgMesher->requests());
-    if (strcmp(Leaf, "passes") == 0)
-      return ReadU64(Global.stats().MeshPassesBackground.load(
-          std::memory_order_relaxed));
-    if (strcmp(Leaf, "poke_passes") == 0)
-      return ReadU64(BgMesher->pokePasses());
-    if (strcmp(Leaf, "pressure_passes") == 0)
-      return ReadU64(BgMesher->pressurePasses());
+  const MallctlLeaf *Leaf = std::find_if(
+      std::begin(kMallctlTable), std::end(kMallctlTable),
+      [&](const MallctlLeaf &Row) { return strcmp(Row.Name, Name) == 0; });
+  if (Leaf == std::end(kMallctlTable))
     return ENOENT;
-  }
-  if (strncmp(Name, "pressure.", 9) == 0) {
-    // Validate the leaf before paying for the sample: the sample is a
-    // page-table walk under ArenaLock plus a /proc read, too expensive
-    // to spend on an ENOENT.
-    const char *Leaf = Name + 9;
-    enum { FragPpm, Rss, Committed, InUse, Span } Which;
-    if (strcmp(Leaf, "frag_ppm") == 0)
-      Which = FragPpm;
-    else if (strcmp(Leaf, "rss_bytes") == 0)
-      Which = Rss;
-    else if (strcmp(Leaf, "committed_bytes") == 0)
-      Which = Committed;
-    else if (strcmp(Leaf, "in_use_bytes") == 0)
-      Which = InUse;
-    else if (strcmp(Leaf, "span_bytes") == 0)
-      Which = Span;
-    else
-      return ENOENT;
-    // Always a fresh sample (no allocation): observability should not
-    // depend on whether a background thread happens to have woken
-    // recently.
-    GlobalHeapFootprintSource Src(Global);
-    PressureConfig Cfg;
-    Cfg.FragThresholdPct = Global.options().PressureFragThresholdPct;
-    Cfg.MinCommittedBytes = Global.options().PressureMinCommittedBytes;
-    const PressureSample S = PressureMonitor(Src, Cfg).sample();
-    switch (Which) {
-    case FragPpm:
-      return ReadU64(S.FragPpm);
-    case Rss:
-      return ReadU64(S.RssBytes);
-    case Committed:
-      return ReadU64(S.Footprint.CommittedBytes);
-    case InUse:
-      return ReadU64(S.Footprint.InUseBytes);
-    case Span:
-      return ReadU64(S.Footprint.SpanBytes);
-    }
-    return ENOENT;
-  }
-  if (strcmp(Name, "heap.num_shards") == 0)
-    return ReadU64(GlobalHeap::kNumShards);
-  if (strcmp(Name, "epoch.fence_mode") == 0)
-    // 1 = asymmetric (expedited membarrier), 2 = seq-cst fallback;
-    // 0 (undecided) is unreachable here since the ctor decides.
-    return ReadU64(static_cast<uint64_t>(Epoch::fenceMode()));
-  if (strcmp(Name, "heap.flush_dirty") == 0)
-    return ReadU64(Global.flushDirtyPages());
-  if (strcmp(Name, "stats.dirty_bytes") == 0)
-    return ReadU64(Global.dirtyBytes());
-  if (strcmp(Name, "stats.bytes_copied") == 0)
-    return ReadU64(
-        Global.stats().BytesCopied.load(std::memory_order_relaxed));
-  if (strcmp(Name, "stats.mesh_passes") == 0)
-    return ReadU64(
-        Global.stats().MeshPasses.load(std::memory_order_relaxed));
-  if (strcmp(Name, "stats.mesh_passes_foreground") == 0)
-    return ReadU64(Global.stats().MeshPassesForeground.load(
-        std::memory_order_relaxed));
-  if (strcmp(Name, "stats.mesh_passes_background") == 0)
-    return ReadU64(Global.stats().MeshPassesBackground.load(
-        std::memory_order_relaxed));
-  if (strcmp(Name, "stats.max_pause_foreground_ns") == 0)
-    return ReadU64(Global.stats().MaxForegroundPassNs.load(
-        std::memory_order_relaxed));
-  if (strcmp(Name, "stats.max_pause_background_ns") == 0)
-    return ReadU64(Global.stats().MaxBackgroundPassNs.load(
-        std::memory_order_relaxed));
-  if (strcmp(Name, "stats.committed_bytes") == 0)
-    return ReadU64(Global.committedBytes());
-  if (strcmp(Name, "stats.peak_committed_bytes") == 0)
-    return ReadU64(pagesToBytes(
-        Global.stats().PeakCommittedPages.load(std::memory_order_relaxed)));
-  if (strcmp(Name, "stats.kernel_file_bytes") == 0)
-    // Pages the arena file actually charges the kernel for — differs
-    // from committed_bytes by meshed-away pages and punched holes, so
-    // (committed - kernel_file) is the meshing-effectiveness number
-    // the soak harness tracks. Preload runs read it via mesh_mallctl.
-    return ReadU64(pagesToBytes(Global.kernelFilePages()));
-  if (strcmp(Name, "stats.mesh_count") == 0)
-    return ReadU64(Global.stats().MeshCount.load(std::memory_order_relaxed));
-  if (strcmp(Name, "stats.pages_meshed") == 0)
-    return ReadU64(
-        Global.stats().PagesMeshed.load(std::memory_order_relaxed));
-  if (strcmp(Name, "stats.mesh_ns") == 0)
-    return ReadU64(
-        Global.stats().TotalMeshNs.load(std::memory_order_relaxed));
-  if (strcmp(Name, "stats.max_pause_ns") == 0)
-    return ReadU64(
-        Global.stats().MaxMeshPassNs.load(std::memory_order_relaxed));
-  if (strncmp(Name, "faults.", 7) == 0) {
-    // Degradation observability (see DESIGN.md "Failure policy"):
-    // injected/retried count fault-injector activity at the syscall
-    // seam; the rest count real degradations taken, injected or not.
-    const char *Leaf = Name + 7;
-    if (strcmp(Leaf, "injected") == 0)
-      return ReadU64(sys::faultsInjected());
-    if (strcmp(Leaf, "retried") == 0)
-      return ReadU64(sys::faultsRetried());
-    if (strcmp(Leaf, "oom_returns") == 0)
-      return ReadU64(
-          Global.stats().OomReturns.load(std::memory_order_relaxed));
-    if (strcmp(Leaf, "mesh_rollbacks") == 0)
-      return ReadU64(
-          Global.stats().MeshRollbacks.load(std::memory_order_relaxed));
-    if (strcmp(Leaf, "punch_fallbacks") == 0)
-      return ReadU64(Global.punchFallbackCount());
-    if (strcmp(Leaf, "reset") == 0) {
-      // Write leaf: zero the seam counters and the degradation
-      // counters so storm tests can assert per-phase deltas.
-      sys::resetFaultCounters();
-      Global.resetFaultCounters();
-      return 0;
-    }
-    return ENOENT;
-  }
-  if (strncmp(Name, "telemetry.", 10) == 0) {
-    const char *Leaf = Name + 10;
-    if (strcmp(Leaf, "enabled") == 0) {
-      if (NewP != nullptr) {
-        bool Value = telemetry::enabled();
-        const int Rc = WriteBool(&Value);
-        if (Rc != 0)
-          return Rc;
-        if (Value)
-          telemetry::enable();
-        else
-          telemetry::disable();
-        return 0;
-      }
-      return ReadU64(telemetry::enabled() ? 1 : 0);
-    }
-    if (strcmp(Leaf, "ring_size") == 0) {
-      if (NewP != nullptr) {
-        if (NewLen != sizeof(uint64_t))
-          return EINVAL;
-        uint64_t Events;
-        memcpy(&Events, NewP, sizeof(uint64_t));
-        return telemetry::setRingEvents(Events) ? 0 : EINVAL;
-      }
-      return ReadU64(telemetry::ringEvents());
-    }
-    if (strcmp(Leaf, "events") == 0)
-      return ReadU64(telemetry::eventsRecorded());
-    if (strcmp(Leaf, "overflow_events") == 0)
-      return ReadU64(telemetry::overflowEvents());
-    if (strcmp(Leaf, "rings_in_use") == 0)
-      return ReadU64(telemetry::ringsInUse());
-    if (strcmp(Leaf, "reset") == 0) {
-      telemetry::reset();
-      return 0;
-    }
-    if (strcmp(Leaf, "dump") == 0) {
-      // Write leaf: NewP carries the output path (with or without a
-      // trailing NUL).
-      if (NewP == nullptr || NewLen == 0)
-        return EINVAL;
-      char Path[512];
-      size_t N = NewLen;
-      if (static_cast<const char *>(NewP)[N - 1] == '\0')
-        --N;
-      if (N == 0 || N >= sizeof(Path))
-        return EINVAL;
-      memcpy(Path, NewP, N);
-      Path[N] = '\0';
-      return telemetry::dumpTrace(Path);
-    }
-    if (strncmp(Leaf, "hist.", 5) == 0) {
-      const int H = telemetry::histIdByName(Leaf + 5);
-      if (H < 0)
-        return ENOENT;
-      // Packed read-out: 64 u64 bucket counters.
-      constexpr size_t Bytes =
-          telemetry::kHistBuckets * sizeof(uint64_t);
-      if (OldP == nullptr || OldLenP == nullptr || *OldLenP < Bytes)
-        return EINVAL;
-      telemetry::readHistogram(static_cast<telemetry::HistId>(H),
-                               static_cast<uint64_t *>(OldP));
-      *OldLenP = Bytes;
-      return 0;
-    }
-    return ENOENT;
-  }
-  if (strcmp(Name, "version.leaves") == 0) {
-    // Newline-joined enumeration of every leaf above. A null OldP
-    // reports the required buffer size (including the trailing NUL).
-    size_t Needed = 1;
-    for (const char *Leaf : kMallctlLeaves)
-      Needed += strlen(Leaf) + 1;
-    if (OldLenP == nullptr)
+  if (Leaf->Handle != nullptr)
+    return Leaf->Handle(*this, Name, {OldP, OldLenP, NewP, NewLen});
+  if (NewP != nullptr && Leaf->Set != nullptr) {
+    if (NewLen != Leaf->WriteBytes)
       return EINVAL;
-    if (OldP == nullptr) {
-      *OldLenP = Needed;
-      return 0;
-    }
-    if (*OldLenP < Needed)
-      return EINVAL;
-    char *Out = static_cast<char *>(OldP);
-    for (const char *Leaf : kMallctlLeaves) {
-      const size_t N = strlen(Leaf);
-      memcpy(Out, Leaf, N);
-      Out += N;
-      *Out++ = '\n';
-    }
-    *Out = '\0';
-    *OldLenP = Needed;
-    return 0;
+    uint64_t Value = 0; // A bool lands in one byte: nonzero is true.
+    memcpy(&Value, NewP, NewLen);
+    return Leaf->Set(*this, Value) ? 0 : EINVAL;
   }
-  return ENOENT;
+  // The read runs before the buffer check, so mesh.now and
+  // heap.flush_dirty do their work even when the buffer is rejected.
+  const uint64_t Value = Leaf->Get(*this);
+  if (OldP == nullptr || OldLenP == nullptr || *OldLenP < sizeof(Value))
+    return EINVAL;
+  memcpy(OldP, &Value, sizeof(Value));
+  *OldLenP = sizeof(Value);
+  return 0;
 }
 
 } // namespace mesh

@@ -81,7 +81,7 @@ public:
 
   /// jemalloc-flavoured control interface (paper Section 4.5 mentions
   /// the "semi-standard mallctl API"). Supported names are documented
-  /// in README.md. Returns 0, or ENOENT/EINVAL on error.
+  /// in api/mesh/mesh.h. Returns 0, or ENOENT/EINVAL on error.
   int mallctl(const char *Name, void *OldP, size_t *OldLenP, void *NewP,
               size_t NewLen);
 

@@ -21,84 +21,15 @@
 #include "mesh/mesh.h"
 #include "support/MathUtils.h"
 
-#include <atomic>
 #include <cerrno>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
-#include <unistd.h>
 
 namespace {
 
 // initial-exec TLS: guaranteed not to allocate on access, which a
 // dynamically-allocated TLS block could.
 __thread bool Busy __attribute__((tls_model("initial-exec"))) = false;
-
-//===----------------------------------------------------------------------===//
-// MESH_DEBUG_SHIM=1: a write(2)-based call trace of every shim entry
-// point, for debugging preload bring-up crashes (this is the tool that
-// pinned the python3 startup segfault on the fork protocol). Each entry
-// is (a) recorded in a fixed in-memory ring — readable from a debugger
-// or a core dump when stderr is lost — and (b) written directly to
-// stderr with write(2) (no printf, no allocation, async-signal-safe),
-// so the last line before a crash names the faulting entry point and
-// its size argument. Off (one relaxed atomic load per call) unless the
-// environment variable is set to exactly "1".
-//===----------------------------------------------------------------------===//
-
-struct ShimTraceEntry {
-  /// m=malloc c=calloc r=realloc R=reallocarray p=posix_memalign
-  /// a=aligned_alloc/memalign/valloc/pvalloc f=free u=usable_size
-  char Tag;
-  /// Requested bytes (total, for calloc/reallocarray) — except f/u,
-  /// which record the pointer argument instead.
-  size_t Arg;
-};
-
-constexpr size_t kShimTraceRing = 64;
-ShimTraceEntry ShimTrace[kShimTraceRing];
-std::atomic<size_t> ShimTraceIdx{0};
-
-// -1 unknown, 0 off, 1 on. Probed lazily on the first shim call:
-// getenv neither allocates nor takes locks, and the shim has no safe
-// static-initialization window of its own to probe it in.
-std::atomic<int> ShimTraceEnabled{-1};
-
-bool shimTraceOn() {
-  int State = ShimTraceEnabled.load(std::memory_order_relaxed);
-  if (State < 0) {
-    const char *Env = std::getenv("MESH_DEBUG_SHIM");
-    State = (Env != nullptr && Env[0] == '1' && Env[1] == '\0') ? 1 : 0;
-    ShimTraceEnabled.store(State, std::memory_order_relaxed);
-  }
-  return State == 1;
-}
-
-void shimTrace(char Tag, size_t Arg) {
-  if (!shimTraceOn())
-    return;
-  const size_t Idx =
-      ShimTraceIdx.fetch_add(1, std::memory_order_relaxed) % kShimTraceRing;
-  ShimTrace[Idx].Tag = Tag;
-  ShimTrace[Idx].Arg = Arg;
-  // "mesh-shim: <tag> <hex-arg>\n", hand-formatted.
-  char Buf[32];
-  size_t Off = 0;
-  memcpy(Buf + Off, "mesh-shim: ", 11);
-  Off += 11;
-  Buf[Off++] = Tag;
-  Buf[Off++] = ' ';
-  bool Sig = false;
-  for (int Shift = 60; Shift >= 0; Shift -= 4) {
-    const unsigned Nib = (Arg >> Shift) & 0xF;
-    if (Nib != 0)
-      Sig = true;
-    if (Sig || Shift == 0)
-      Buf[Off++] = static_cast<char>(Nib < 10 ? '0' + Nib : 'a' + Nib - 10);
-  }
-  Buf[Off++] = '\n';
-  ssize_t Ignored = write(2, Buf, Off);
-  (void)Ignored;
-}
 
 void *shimMalloc(size_t Bytes) {
   mesh::Runtime &R = mesh::defaultRuntime();
@@ -134,24 +65,16 @@ void shimFree(void *Ptr) {
 
 extern "C" {
 
-void *malloc(size_t Bytes) {
-  shimTrace('m', Bytes);
-  return shimMalloc(Bytes);
-}
+void *malloc(size_t Bytes) { return shimMalloc(Bytes); }
 
-void free(void *Ptr) {
-  shimTrace('f', reinterpret_cast<size_t>(Ptr));
-  shimFree(Ptr);
-}
+void free(void *Ptr) { shimFree(Ptr); }
 
 void *calloc(size_t Count, size_t Size) {
   if (Count != 0 && Size > SIZE_MAX / Count) {
-    shimTrace('c', SIZE_MAX); // overflowing request; logged saturated
     errno = ENOMEM;
     return nullptr;
   }
   const size_t Bytes = Count * Size;
-  shimTrace('c', Bytes);
   mesh::Runtime &R = mesh::defaultRuntime();
   void *Ptr;
   if (Busy) {
@@ -173,7 +96,6 @@ void *calloc(size_t Count, size_t Size) {
 }
 
 void *realloc(void *Ptr, size_t Bytes) {
-  shimTrace('r', Bytes);
   if (Ptr == nullptr)
     return shimMalloc(Bytes);
   if (Bytes == 0) {
@@ -193,16 +115,13 @@ void *realloc(void *Ptr, size_t Bytes) {
 
 void *reallocarray(void *Ptr, size_t Count, size_t Size) {
   if (Count != 0 && Size > SIZE_MAX / Count) {
-    shimTrace('R', SIZE_MAX); // overflowing request; logged saturated
     errno = ENOMEM;
     return nullptr;
   }
-  shimTrace('R', Count * Size);
   return realloc(Ptr, Count * Size);
 }
 
 int posix_memalign(void **Out, size_t Alignment, size_t Bytes) {
-  shimTrace('p', Bytes);
   if (Busy) {
     // Nested request from heap setup: large allocations are page
     // aligned, which satisfies every supportable alignment. (Out is
@@ -221,7 +140,6 @@ int posix_memalign(void **Out, size_t Alignment, size_t Bytes) {
 }
 
 void *aligned_alloc(size_t Alignment, size_t Bytes) {
-  shimTrace('a', Bytes);
   // C11/glibc semantics: any power-of-two alignment, including ones
   // below sizeof(void*) that posix_memalign rejects — every Mesh slot
   // is at least 16-byte aligned, so small alignments round up freely.
@@ -252,7 +170,6 @@ void *pvalloc(size_t Bytes) {
 }
 
 size_t malloc_usable_size(void *Ptr) {
-  shimTrace('u', reinterpret_cast<size_t>(Ptr));
   return mesh::defaultRuntime().usableSize(Ptr);
 }
 

@@ -229,33 +229,10 @@ void BackgroundMesher::run() {
       // Timer wake: sample pressure. This is the only path an idle
       // heap ever takes — nothing allocates, so nothing pokes.
       const PressureSample S = Monitor.sample();
-      publishSample(S);
       if (Monitor.underPressure(S) && Heap.backgroundPressureMesh())
         PressurePasses.fetch_add(1, std::memory_order_relaxed);
     }
   }
-}
-
-void BackgroundMesher::publishSample(const PressureSample &S) {
-  SampleCommitted.store(S.Footprint.CommittedBytes,
-                        std::memory_order_relaxed);
-  SampleInUse.store(S.Footprint.InUseBytes, std::memory_order_relaxed);
-  SampleSpan.store(S.Footprint.SpanBytes, std::memory_order_relaxed);
-  SampleDirty.store(S.Footprint.DirtyBytes, std::memory_order_relaxed);
-  SampleRss.store(S.RssBytes, std::memory_order_relaxed);
-  SampleFragPpm.store(S.FragPpm, std::memory_order_relaxed);
-}
-
-PressureSample BackgroundMesher::lastSample() const {
-  PressureSample S;
-  S.Footprint.CommittedBytes =
-      SampleCommitted.load(std::memory_order_relaxed);
-  S.Footprint.InUseBytes = SampleInUse.load(std::memory_order_relaxed);
-  S.Footprint.SpanBytes = SampleSpan.load(std::memory_order_relaxed);
-  S.Footprint.DirtyBytes = SampleDirty.load(std::memory_order_relaxed);
-  S.RssBytes = SampleRss.load(std::memory_order_relaxed);
-  S.FragPpm = SampleFragPpm.load(std::memory_order_relaxed);
-  return S;
 }
 
 } // namespace mesh

@@ -102,7 +102,7 @@ public:
   void resumeAfterForkParent();
   void resumeAfterForkChild();
 
-  /// Observability (mallctl background.* / pressure.*).
+  /// Observability (mallctl background.*).
   uint64_t wakeups() const { return Wakeups.load(std::memory_order_relaxed); }
   uint64_t requests() const {
     return Requests.load(std::memory_order_relaxed);
@@ -113,17 +113,14 @@ public:
   uint64_t pressurePasses() const {
     return PressurePasses.load(std::memory_order_relaxed);
   }
-
-  /// The most recent pressure sample, updated on every timer wake.
-  /// Torn-free via individual atomics (a sample is advisory anyway).
-  PressureSample lastSample() const;
-
-  const PressureMonitor &monitor() const { return Monitor; }
+  /// Passes run on the background origin (the heap keeps the count).
+  uint64_t passes() const {
+    return Heap.stats().MeshPassesBackground.load(std::memory_order_relaxed);
+  }
 
 private:
   static void *threadEntry(void *Arg);
   void run();
-  void publishSample(const PressureSample &S);
   /// (Re-)initializes CV with CLOCK_MONOTONIC waits; shared by the ctor
   /// and the fork-child recovery path.
   void initMonotonicCondVar();
@@ -152,14 +149,6 @@ private:
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> PokePasses{0};
   std::atomic<uint64_t> PressurePasses{0};
-
-  /// lastSample() mirror, written only by the mesher thread.
-  std::atomic<size_t> SampleCommitted{0};
-  std::atomic<size_t> SampleInUse{0};
-  std::atomic<size_t> SampleSpan{0};
-  std::atomic<size_t> SampleDirty{0};
-  std::atomic<size_t> SampleRss{0};
-  std::atomic<uint32_t> SampleFragPpm{0};
 };
 
 } // namespace mesh

@@ -26,7 +26,7 @@
 ///      envU64/envBool contract.
 ///
 /// Cost when off: one relaxed atomic load and a predictable branch per
-/// wrapped call — the same shape as the MESH_DEBUG_SHIM trace gate.
+/// wrapped call.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -162,14 +162,13 @@ void recordSlow(EventType T, uint16_t Arg, uint64_t Payload) {
 
   Slot &S = R.Slots[C & Mask];
   // Seqlock write: invalidate, publish fields, then publish Seq with a
-  // release store. The release fence orders the invalidation before
-  // the field stores so a concurrent snapshot never pairs old Seq with
-  // new fields.
+  // release store. Each field store is a release too, so a snapshot
+  // that reads any new field (with acquire) also sees the invalidation
+  // and never pairs old Seq with new fields.
   S.Seq.store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  S.TimeNs.store(monotonicTimeNs(), std::memory_order_relaxed);
-  S.Meta.store(packMeta(T, Arg, MyTid), std::memory_order_relaxed);
-  S.Payload.store(Payload, std::memory_order_relaxed);
+  S.TimeNs.store(monotonicTimeNs(), std::memory_order_release);
+  S.Meta.store(packMeta(T, Arg, MyTid), std::memory_order_release);
+  S.Payload.store(Payload, std::memory_order_release);
   S.Seq.store(C + 1, std::memory_order_release);
 }
 
@@ -329,10 +328,11 @@ bool readSlot(const Ring &R, uint64_t C, uint64_t Mask, uint64_t *TimeNs,
   const uint64_t S1 = S.Seq.load(std::memory_order_acquire);
   if (S1 != C + 1)
     return false;
-  *TimeNs = S.TimeNs.load(std::memory_order_relaxed);
-  *Meta = S.Meta.load(std::memory_order_relaxed);
-  *Payload = S.Payload.load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
+  // Acquire loads: the Seq re-check below cannot move above them, and
+  // a field from a newer write brings that write's Seq = 0 with it.
+  *TimeNs = S.TimeNs.load(std::memory_order_acquire);
+  *Meta = S.Meta.load(std::memory_order_acquire);
+  *Payload = S.Payload.load(std::memory_order_acquire);
   return S.Seq.load(std::memory_order_relaxed) == S1;
 }
 

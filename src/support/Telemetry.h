@@ -22,7 +22,7 @@
 ///     Epoch::stripeForThisThread; threads past kNumRings share the
 ///     overflow ring through a fetch_add cursor. Each slot is four
 ///     atomic u64 words (Seq, TimeNs, Meta, Payload). The recording
-///     thread writes fields with relaxed stores and publishes with a
+///     thread writes fields with release stores and publishes with a
 ///     release store of Seq = cursor + 1 — a plain mov on x86, no RMW
 ///     on the exclusive-ring path. A dump is an epoch-style snapshot:
 ///     the reader walks the last ring-size cursor positions, validates
@@ -40,7 +40,7 @@
 ///     p50/p99/p99.9.
 ///
 /// Exposure: telemetry.* mallctl leaves (core/Runtime.cpp), a Chrome
-/// trace_event JSON dump via mallctl("telemetry.dump") or
+/// trace_event JSON dump via the telemetry.dump mallctl leaf or
 /// MESH_TRACE=<path> at process exit, and tools/mesh-top.py for a
 /// human-readable snapshot. See DESIGN.md "Observability".
 ///

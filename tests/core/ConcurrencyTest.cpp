@@ -189,7 +189,7 @@ TEST(ConcurrencyTest, ConcurrentWritersHitWriteBarrier) {
   EXPECT_GT(TotalFreed, 0u)
       << "meshing should reclaim under writers (binned="
       << R.global().binnedCount(0)
-      << " passes=" << R.global().stats().MeshPasses.load()
+      << " passes=" << R.global().stats().meshPasses()
       << " probes=" << R.global().stats().MeshProbeCount.load() << ")";
 
   // Sum of counters must equal total increments: fetch_add through the

@@ -236,7 +236,7 @@ TEST(GlobalHeapTest, MeshRateLimitRespected) {
   G.releaseMiniHeap(A);
   G.releaseMiniHeap(B);
   G.maybeMesh();
-  EXPECT_EQ(G.stats().MeshPasses.load(), 0u)
+  EXPECT_EQ(G.stats().meshPasses(), 0u)
       << "rate limiter must suppress meshing";
   EXPECT_EQ(G.meshNow(), kPageSize) << "explicit meshNow bypasses the limit";
 }

@@ -11,7 +11,10 @@
 ///     the registry, both directions (MESH_API_HEADER is injected by
 ///     the build so the test reads the header source itself);
 ///   - the faults.reset and telemetry.reset write leaves really zero
-///     their counter families, enabling per-phase delta assertions.
+///     their counter families, enabling per-phase delta assertions;
+///   - every leaf answers the same return code for each call shape
+///     (u64 read, null length, short length, odd-sized write), and the
+///     derived totals agree with their per-origin parts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +30,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -222,6 +226,94 @@ TEST(MallctlLeaves, TelemetryResetAndRoundTrip) {
                       sizeof(On)),
             0);
   EXPECT_EQ(Read("telemetry.enabled"), 0u);
+}
+
+/// Return codes of one leaf for the four call shapes of CallContract.
+struct Contract {
+  int Read;    ///< 8-byte OldP, no NewP.
+  int NullLen; ///< OldP but a null OldLenP.
+  int Short;   ///< *OldLenP = 4.
+  int Write3;  ///< 8-byte OldP plus a 3-byte NewP.
+};
+
+TEST(MallctlLeaves, CallContract) {
+  Runtime R(testOptions());
+  // A read-only u64 leaf ignores NewP and answers the read.
+  constexpr Contract kReadOnly = {0, EINVAL, EINVAL, 0};
+  // A writable leaf takes the write and rejects its size.
+  constexpr Contract kWritable = {0, EINVAL, EINVAL, EINVAL};
+  // Leaves with their own buffer shape reject every u64-shaped call,
+  // and the two resets accept any call.
+  constexpr Contract kOwnShape = {EINVAL, EINVAL, EINVAL, EINVAL};
+  constexpr Contract kReset = {0, 0, 0, 0};
+  const std::map<std::string, Contract> Special = {
+      {"mesh.enabled", kWritable},
+      {"mesh.period_ms", kWritable},
+      {"mesh.probes", kWritable},
+      {"mesh.max_per_pass", kWritable},
+      {"telemetry.enabled", kWritable},
+      {"telemetry.ring_size", kWritable},
+      {"telemetry.dump", kOwnShape},
+      {"telemetry.hist.mesh_pass", kOwnShape},
+      {"telemetry.hist.mesh_scan", kOwnShape},
+      {"telemetry.hist.mesh_remap", kOwnShape},
+      {"telemetry.hist.mesh_release", kOwnShape},
+      {"telemetry.hist.epoch_sync", kOwnShape},
+      {"telemetry.hist.span_acquire", kOwnShape},
+      {"telemetry.hist.punch_syscall", kOwnShape},
+      {"telemetry.hist.remap_syscall", kOwnShape},
+      {"version.leaves", kOwnShape},
+      {"faults.reset", kReset},
+      {"telemetry.reset", kReset},
+  };
+  const std::vector<std::string> Leaves = enumerateLeaves(R);
+  const std::set<std::string> LeafSet(Leaves.begin(), Leaves.end());
+  for (const auto &[Name, Expected] : Special)
+    EXPECT_TRUE(LeafSet.count(Name)) << Name << " is not enumerated";
+
+  // Zero bytes: as a telemetry.dump path this names no file.
+  char Zero3[3] = {};
+  for (const std::string &Leaf : Leaves) {
+    const auto It = Special.find(Leaf);
+    const Contract Expected = It == Special.end() ? kReadOnly : It->second;
+    const char *Name = Leaf.c_str();
+    uint64_t Value = 0;
+    size_t Len = sizeof(Value);
+    EXPECT_EQ(R.mallctl(Name, &Value, &Len, nullptr, 0), Expected.Read)
+        << Name;
+    EXPECT_EQ(R.mallctl(Name, &Value, nullptr, nullptr, 0),
+              Expected.NullLen)
+        << Name;
+    Len = 4;
+    EXPECT_EQ(R.mallctl(Name, &Value, &Len, nullptr, 0), Expected.Short)
+        << Name;
+    Len = sizeof(Value);
+    EXPECT_EQ(R.mallctl(Name, &Value, &Len, Zero3, sizeof(Zero3)),
+              Expected.Write3)
+        << Name;
+  }
+
+  // The pass totals are the sums and maxima of their per-origin parts.
+  // The background pass runs on this thread: the runtime has no mesher,
+  // so nothing else can move the counters between the reads.
+  auto Read = [&](const char *Name) {
+    uint64_t Value = 0;
+    size_t Len = sizeof(Value);
+    EXPECT_EQ(R.mallctl(Name, &Value, &Len, nullptr, 0), 0) << Name;
+    return Value;
+  };
+  R.meshNow();
+  // A global-heap free re-arms the pressure path's hysteresis.
+  R.free(R.malloc(size_t{1} << 20));
+  ASSERT_TRUE(R.global().backgroundPressureMesh());
+  const uint64_t Fg = Read("stats.mesh_passes_foreground");
+  const uint64_t Bg = Read("stats.mesh_passes_background");
+  EXPECT_GE(Fg, 1u);
+  EXPECT_GE(Bg, 1u);
+  EXPECT_EQ(Read("stats.mesh_passes"), Fg + Bg);
+  EXPECT_EQ(Read("stats.max_pause_ns"),
+            std::max(Read("stats.max_pause_foreground_ns"),
+                     Read("stats.max_pause_background_ns")));
 }
 
 } // namespace

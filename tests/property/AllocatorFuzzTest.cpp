@@ -53,6 +53,11 @@ struct FuzzConfig {
   bool Randomized;
 };
 
+/// Print a config by name. gtest's fallback dumps the struct's raw bytes,
+/// Name pointer included, so the listed test name would change with every
+/// process's load address.
+void PrintTo(const FuzzConfig &Cfg, std::ostream *OS) { *OS << Cfg.Name; }
+
 class AllocatorFuzz : public ::testing::TestWithParam<FuzzConfig> {};
 
 TEST_P(AllocatorFuzz, DifferentialAgainstShadowModel) {

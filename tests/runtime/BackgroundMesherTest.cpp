@@ -152,6 +152,53 @@ TEST(BackgroundMesherTest, PokesExecuteOnMesherThread) {
   EXPECT_EQ(readCounter(R, "stats.max_pause_foreground_ns"), 0u);
 }
 
+// mesh.probes and mesh.max_per_pass are option fields that every pass
+// reads on the mesher thread. Retuning them through mallctl while
+// passes run must serialize with the pass; TSan reports it otherwise.
+TEST(BackgroundMesherTest, KnobWritesSerializeWithBackgroundPasses) {
+  MeshOptions Opts = backgroundOptions();
+  Opts.BackgroundWakeMs = 1000;      // timer effectively off
+  Opts.PressureFragThresholdPct = 0; // pressure off: pokes only
+  Opts.MeshPeriodMs = 0;             // every trigger eligible
+  Runtime R(Opts);
+
+  std::atomic<bool> Stop{false};
+  std::thread Writer([&] {
+    for (uint64_t I = 0; !Stop.load(std::memory_order_relaxed); ++I) {
+      uint64_t Probes = 16 + I % 64;
+      uint64_t MaxPerPass = I % 2 == 0 ? 0 : 1 + I % 16;
+      EXPECT_EQ(R.mallctl("mesh.probes", nullptr, nullptr, &Probes,
+                          sizeof(Probes)),
+                0);
+      EXPECT_EQ(R.mallctl("mesh.max_per_pass", nullptr, nullptr,
+                          &MaxPerPass, sizeof(MaxPerPass)),
+                0);
+      EXPECT_EQ(readCounter(R, "mesh.probes"), Probes);
+      std::this_thread::yield();
+    }
+  });
+
+  // The same refill churn as PokesExecuteOnMesherThread, until the
+  // mesher has run several passes under the writer.
+  const uint64_t TargetPasses = 16;
+  const int Rounds = static_cast<int>(stressScaled(400));
+  for (int Round = 0; Round < Rounds; ++Round) {
+    if (readCounter(R, "background.passes") >= TargetPasses)
+      break;
+    std::vector<void *> Block;
+    for (int I = 0; I < 4 * 256; ++I)
+      Block.push_back(R.malloc(16));
+    R.localHeap().releaseAll();
+    for (void *P : Block)
+      R.free(P);
+    sleepMs(2);
+  }
+  EXPECT_TRUE(waitForCounter(R, "background.passes", TargetPasses, 5000))
+      << "the mesher ran too few passes to exercise the race";
+  Stop.store(true, std::memory_order_relaxed);
+  Writer.join();
+}
+
 // The acceptance scenario (ISSUE 4): allocate, free most objects, stop
 // allocating. Nothing ever pokes again, yet the heap must shrink via a
 // background pressure pass, observable through background.* counters.

@@ -74,8 +74,8 @@ run_case_bounded "bash fork-without-exec: nested chain" \
 
 # python3: a hard expected-pass since the fork protocol landed. The
 # long-standing "python3 startup segfault" turned out to be the fork
-# gap wearing a different hat: interpreter startup forks (the
-# MESH_DEBUG_SHIM trace plus a fork-logging preload pinned it), and
+# gap wearing a different hat: interpreter startup forks (a shim call
+# trace plus a fork-logging preload pinned it), and
 # those children allocate between fork and exec, which corrupted the
 # parent through the shared arena. Bounded like the bash fork cases —
 # the historical failure mode can hang, not just crash.

@@ -20,10 +20,6 @@ the contracts that are NOT expressible as capabilities:
                        initializers run (malloc during early libc
                        setup), so its state must be constant- or
                        zero-initialized PODs / __thread variables.
-  mallctl-coherence    Every leaf in kMallctlLeaves (src/core/
-                       Runtime.cpp, the authority behind
-                       "version.leaves") must be documented in
-                       src/api/mesh/mesh.h and vice versa.
   tsan-supp-comments   Every suppression in tsan.supp must carry a
                        comment block explaining the benign mechanism
                        and naming the test that pins the mechanism
@@ -382,40 +378,6 @@ def check_shim_static_init():
     return findings
 
 # ----------------------------------------------------------------------------
-# Rule: mallctl-coherence
-# ----------------------------------------------------------------------------
-
-LEAF_RE = re.compile(r'"([a-z]+(?:\.[a-z_0-9]+)+)"')
-
-def check_mallctl():
-    findings = []
-    runtime_cpp = os.path.join(REPO, "src", "core", "Runtime.cpp")
-    api_h = os.path.join(REPO, "src", "api", "mesh", "mesh.h")
-    with open(runtime_cpp) as fh:
-        rt = fh.read()
-    m = re.search(r"kMallctlLeaves\[\]\s*=\s*\{(.*?)\};", rt, re.S)
-    if not m:
-        return [Finding("mallctl-coherence", "src/core/Runtime.cpp", 0,
-                        "kMallctlLeaves[] registry not found")]
-    reg_line = rt.count("\n", 0, m.start()) + 1
-    registry = set(LEAF_RE.findall(m.group(1)))
-    with open(api_h) as fh:
-        documented = set(LEAF_RE.findall(fh.read()))
-    # "version.leaves" is self-describing; it lives in the registry and
-    # the docs like any other leaf, so no special case is needed.
-    for leaf in sorted(registry - documented):
-        findings.append(Finding(
-            "mallctl-coherence", "src/api/mesh/mesh.h", 0,
-            "mallctl leaf '%s' is dispatched (kMallctlLeaves) but not "
-            "documented in the public header" % leaf))
-    for leaf in sorted(documented - registry):
-        findings.append(Finding(
-            "mallctl-coherence", "src/core/Runtime.cpp", reg_line,
-            "mallctl leaf '%s' is documented in src/api/mesh/mesh.h "
-            "but missing from kMallctlLeaves" % leaf))
-    return findings
-
-# ----------------------------------------------------------------------------
 # Rule: tsan-supp-comments
 # ----------------------------------------------------------------------------
 
@@ -520,13 +482,12 @@ def main():
     ap.add_argument("--verbose", "-v", action="store_true")
     ap.add_argument("--rule", action="append",
                     choices=("atfork-unsafe-call", "shim-static-init",
-                             "mallctl-coherence", "tsan-supp-comments"),
+                             "tsan-supp-comments"),
                     help="run only the given rule(s)")
     args = ap.parse_args()
 
     rules = set(args.rule) if args.rule else {
-        "atfork-unsafe-call", "shim-static-init",
-        "mallctl-coherence", "tsan-supp-comments"}
+        "atfork-unsafe-call", "shim-static-init", "tsan-supp-comments"}
 
     graph = None
     if "atfork-unsafe-call" in rules:
@@ -540,8 +501,6 @@ def main():
         findings += check_atfork(graph)
     if "shim-static-init" in rules:
         findings += check_shim_static_init()
-    if "mallctl-coherence" in rules:
-        findings += check_mallctl()
     if "tsan-supp-comments" in rules:
         findings += check_tsan_supp()
 
