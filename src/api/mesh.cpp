@@ -6,7 +6,6 @@
 #include "support/Env.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <new>
 #include <sched.h>
 
@@ -16,11 +15,11 @@ namespace {
 
 MeshOptions optionsFromEnvironment() {
   MeshOptions Opts;
-  if (getenv("MESH_NO_MESH") != nullptr)
+  if (envBool("MESH_NO_MESH", false))
     Opts.MeshingEnabled = false;
-  if (getenv("MESH_NO_RAND") != nullptr)
+  if (envBool("MESH_NO_RAND", false))
     Opts.Randomized = false;
-  if (getenv("MESH_NO_BARRIER") != nullptr)
+  if (envBool("MESH_NO_BARRIER", false))
     Opts.BarrierEnabled = false;
   uint64_t U = 0;
   if (envU64("MESH_PERIOD_MS", 0, ~uint64_t{0}, &U))

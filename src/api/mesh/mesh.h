@@ -78,9 +78,10 @@ class Runtime;
 ///
 /// Environment configuration, read once at creation (invalid or
 /// out-of-range values warn and keep the default):
-///   MESH_NO_MESH=1      disable meshing
-///   MESH_NO_RAND=1      disable randomized allocation
-///   MESH_NO_BARRIER=1   disable the concurrent-mesh write barrier
+///   MESH_NO_MESH=0|1    disable meshing (default 0)
+///   MESH_NO_RAND=0|1    disable randomized allocation (default 0)
+///   MESH_NO_BARRIER=0|1 disable the concurrent-mesh write barrier
+///                       (default 0)
 ///   MESH_PERIOD_MS=N    meshing rate limit (default 100)
 ///   MESH_PROBES=N       SplitMesher probe budget t (default 64)
 ///   MESH_SEED=N         RNG seed

@@ -27,8 +27,7 @@ SizeClassAllocator::~SizeClassAllocator() {
 MiniHeap *SizeClassAllocator::newSpan(int Class) {
   const SizeClassInfo &Info = sizeClassInfo(Class);
   bool IsClean = false;
-  const uint32_t Off = Arena.allocSpanForClass(Class, Info.SpanPages,
-                                               &IsClean);
+  const uint32_t Off = Arena.allocSpan(Class, Info.SpanPages, &IsClean);
   if (Off == MeshableArena::kInvalidSpanOff)
     return nullptr;
   auto *MH = InternalHeap::global().makeNew<MiniHeap>(
@@ -42,8 +41,8 @@ MiniHeap *SizeClassAllocator::newSpan(int Class) {
 
 void SizeClassAllocator::releaseSpan(MiniHeap *MH) {
   Arena.setOwner(MH->physicalSpanOffset(), MH->spanPages(), nullptr);
-  Arena.freeDirtySpanForClass(MH->sizeClass(), MH->physicalSpanOffset(),
-                              MH->spanPages());
+  Arena.freeDirtySpan(MH->sizeClass(), MH->physicalSpanOffset(),
+                      MH->spanPages());
   InternalHeap::global().deleteObj(MH);
 }
 
@@ -79,7 +78,8 @@ void *SizeClassAllocator::allocLarge(size_t Bytes) {
     return nullptr; // Unsatisfiable; also guards the uint32 narrowing.
   bool IsClean = false;
   const uint32_t Off =
-      Arena.allocLargeSpan(static_cast<uint32_t>(Pages), &IsClean);
+      Arena.allocSpan(MeshableArena::kLargeArenaShard,
+                      static_cast<uint32_t>(Pages), &IsClean);
   if (Off == MeshableArena::kInvalidSpanOff)
     return nullptr;
   auto *MH = InternalHeap::global().makeNew<MiniHeap>(
@@ -107,7 +107,8 @@ void SizeClassAllocator::free(void *Ptr) {
   }
   if (MH->isLargeAlloc()) {
     Arena.setOwner(MH->physicalSpanOffset(), MH->spanPages(), nullptr);
-    Arena.freeReleasedLargeSpan(MH->physicalSpanOffset(), MH->spanPages());
+    Arena.freeReleasedSpan(MeshableArena::kLargeArenaShard,
+                           MH->physicalSpanOffset(), MH->spanPages());
     InternalHeap::global().deleteObj(MH);
     return;
   }

@@ -132,15 +132,15 @@ void GlobalHeap::destroyMiniHeapLocked(Shard &S, MiniHeap *MH) {
   // synchronize, not one per span. The arena calls below serialize on
   // the span's own class shard (the heap shard lock we hold is what
   // guarantees no other thread is moving these spans), so destroys of
-  // different classes run fully in parallel.
+  // different classes run fully in parallel. The heap and arena shard
+  // maps coincide, and large MiniHeaps are never meshable, so a large
+  // span takes the release path on the large arena shard.
   for (uint32_t I = 0; I < Spans.size(); ++I)
     Arena.setOwner(Spans[I], Pages, nullptr);
-  if (MH->isLargeAlloc())
-    Arena.freeReleasedLargeSpan(Spans[0], Pages);
-  else if (!MH->isMeshable())
-    Arena.freeReleasedSpanForClass(MH->sizeClass(), Spans[0], Pages);
+  if (MH->isMeshable())
+    Arena.freeDirtySpan(shardIndexFor(MH), Spans[0], Pages);
   else
-    Arena.freeDirtySpanForClass(MH->sizeClass(), Spans[0], Pages);
+    Arena.freeReleasedSpan(shardIndexFor(MH), Spans[0], Pages);
   for (uint32_t I = 1; I < Spans.size(); ++I)
     Arena.freeAliasSpan(MH->sizeClass(), Spans[I], Pages);
   S.RetiredList.push_back(MH);
@@ -280,7 +280,7 @@ MiniHeap *GlobalHeap::allocMiniHeapForClass(int SizeClass) {
     bool IsClean = false;
     telemetry::Timer SpanTimer;
     const uint32_t Off =
-        Arena.allocSpanForClass(SizeClass, Info.SpanPages, &IsClean);
+        Arena.allocSpan(SizeClass, Info.SpanPages, &IsClean);
     if (SpanTimer.armed())
       telemetry::histRecord(telemetry::kHistSpanAcquire,
                             SpanTimer.elapsedNs());
@@ -339,7 +339,7 @@ void *GlobalHeap::largeAllocZeroed(size_t Bytes, bool *WasZeroed) {
   bool IsClean = false;
   telemetry::Timer SpanTimer;
   const uint32_t Off =
-      Arena.allocLargeSpan(static_cast<uint32_t>(Pages), &IsClean);
+      Arena.allocSpan(kLargeShard, static_cast<uint32_t>(Pages), &IsClean);
   if (SpanTimer.armed())
     telemetry::histRecord(telemetry::kHistSpanAcquire,
                           SpanTimer.elapsedNs());

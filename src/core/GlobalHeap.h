@@ -165,9 +165,9 @@ public:
 
   /// Registers (or, with nullptr, removes) the background mesher as the
   /// receiver of maybeMesh() triggers. Clearing the pointer does not by
-  /// itself make the old sink deletable — a mutator may have loaded it
-  /// and still be inside the call; run synchronizeMeshRequestSink()
-  /// after clearing, before destroying the sink.
+  /// itself make the old sink deletable: a mutator may have loaded it
+  /// and still be inside the call. The sink's owner deletes it only
+  /// once no other thread can be using the heap (see requestMeshPass).
   void setMeshRequestSink(MeshRequestSink *Sink) {
     RequestSink.store(Sink, std::memory_order_release);
   }
@@ -179,33 +179,15 @@ public:
     return RequestSink.load(std::memory_order_acquire);
   }
 
-  /// Waits until every thread currently inside a requestMeshPass()
-  /// dispatch (the sink-epoch section below) has left it. After
-  /// setMeshRequestSink(nullptr) plus this, no call through the heap
-  /// can still be executing on the old sink, so it may be deleted.
-  /// Callers must hold no heap locks and not be inside a sink
-  /// dispatch.
-  void synchronizeMeshRequestSink()
-      MESH_EXCLUDES(SinkSyncLock, RequestSinkEpoch) {
-    SpinLockGuard Guard(SinkSyncLock);
-    RequestSinkEpoch.synchronize();
-  }
-
   /// Non-blocking compaction request: pokes the registered sink and
   /// returns true, or returns false when no background mesher is
-  /// attached (callers may fall back to a synchronous pass). The epoch
-  /// section pins the sink object across the load + virtual call, so a
-  /// concurrent teardown (clear + synchronize, see stop()) cannot free
-  /// it underfoot. This is a *dedicated* epoch, deliberately not
-  /// MiniHeapEpoch: the sink's deferred fork-restart path runs
-  /// pthread_create, whose internal allocation can re-enter the
-  /// interposed allocator and reach epochSynchronize() — which would
-  /// self-deadlock spinning on this thread's own pinned MiniHeapEpoch
-  /// section, but waits on nobody when the pin lives on its own epoch.
-  /// The sink never takes heap locks (MeshRequestSink contract), so
-  /// nothing a synchronize caller holds can block these readers.
+  /// attached (callers may fall back to a synchronous pass). Nothing
+  /// pins the sink across the load + virtual call; this relies on the
+  /// teardown precondition of its owner's destructor: ~Runtime deletes
+  /// the sink only once every other thread is done with the runtime,
+  /// and the mesher thread itself never pokes, so no caller can be
+  /// between the load and the call when the sink goes away.
   bool requestMeshPass() {
-    Epoch::Section Section(RequestSinkEpoch);
     MeshRequestSink *Sink = RequestSink.load(std::memory_order_acquire);
     if (Sink == nullptr)
       return false;
@@ -234,13 +216,8 @@ public:
 
   /// Fork-child recovery (called from the atfork child handler, single
   /// threaded): clears epoch reader counts orphaned by parent threads
-  /// that do not exist in the child — both the MiniHeap metadata epoch
-  /// and the sink-dispatch epoch (a parent mid-poke at fork would
-  /// otherwise wedge the child's first sink synchronize).
-  void resetEpochAfterFork() {
-    MiniHeapEpoch.resetToQuiescent();
-    RequestSinkEpoch.resetToQuiescent();
-  }
+  /// that do not exist in the child.
+  void resetEpochAfterFork() { MiniHeapEpoch.resetToQuiescent(); }
 
   /// Fork quiesce: acquires every heap lock in rank order — MeshLock,
   /// heap shards, arena shards + ArenaLock (via the arena), the leaf
@@ -354,13 +331,12 @@ public:
 
   static constexpr int kOccupancyBins = 4;
 
-  /// Shard count: one per size class plus the large-object shard.
-  static constexpr int kNumShards = kNumSizeClasses + 1;
-  static_assert(kNumShards <= 32,
-                "the debug held-shard mask is a uint32_t; widen it (and "
-                "re-audit the lock-order diagnostics) before adding shards");
+  /// Shard count: one per size class plus the large-object shard. The
+  /// heap and arena shard maps are the same map, so a MiniHeap's heap
+  /// shard index is also its arena shard index.
+  static constexpr int kNumShards = MeshableArena::kNumArenaShards;
   /// Index of the shard serializing large-object (singleton) frees.
-  static constexpr int kLargeShard = kNumSizeClasses;
+  static constexpr int kLargeShard = MeshableArena::kLargeArenaShard;
 
   /// Test hooks pinning the shard lock-ordering discipline: Debug
   /// builds abort on out-of-order acquisition (death tests only; never
@@ -490,8 +466,6 @@ private:
   MeshableArena Arena;
   MeshStats Stats;
   mutable Epoch MiniHeapEpoch;
-  /// Pins the request sink across a dispatch (see requestMeshPass).
-  mutable Epoch RequestSinkEpoch;
 
   Shard Shards[kNumShards];
 
@@ -500,12 +474,6 @@ private:
   mutable SpinLock MeshLock;
   /// Serializes Epoch::synchronize callers (leaf lock).
   mutable SpinLock EpochSyncLock;
-  /// Serializes RequestSinkEpoch.synchronize() callers. Deliberately
-  /// not EpochSyncLock: a sink dispatch can nest a MiniHeapEpoch
-  /// synchronize (pthread_create's allocation re-entry on the deferred
-  /// restart path), which takes EpochSyncLock — holding that same lock
-  /// while spinning on sink readers would deadlock against them.
-  mutable SpinLock SinkSyncLock;
 
   /// SplitMesher randomness.
   Rng MeshRandom MESH_GUARDED_BY(MeshLock);

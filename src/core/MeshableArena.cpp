@@ -92,33 +92,19 @@ size_t MeshableArena::pushDirtyLocked(ArenaShard &S, uint32_t PageOff,
   return TotalDirtyPages.fetch_add(Pages, std::memory_order_relaxed) + Pages;
 }
 
-uint32_t MeshableArena::allocSpanForClass(int Class, uint32_t Pages,
-                                          bool *IsClean) {
-  assert(Class >= 0 && Class < kNumSizeClasses && "size class out of range");
+uint32_t MeshableArena::allocSpan(int Shard, uint32_t Pages, bool *IsClean) {
+  assert(Shard >= 0 && Shard < kNumArenaShards && "arena shard out of range");
   assert(Pages > 0 && "zero-length span request");
-  // Prefer the class's dirty spans: their pages are already committed,
+  // Prefer the shard's dirty spans: their pages are already committed,
   // so reuse costs nothing (Section 4.4.1: used pages are likely
   // needed soon) — and needs no commit, which is what lets the heap
   // keep serving from recycled memory while fresh commits are being
   // refused. This is the whole-shard-local hot path: no cross-class
-  // state is touched.
-  lockShard(Class);
-  const uint32_t Off = popDirtyLocked(Shards[Class], Pages);
-  unlockShard(Class);
-  if (Off != kInvalidSpanOff) {
-    *IsClean = false;
-    return Off;
-  }
-  return allocCleanSpan(Pages, IsClean);
-}
-
-uint32_t MeshableArena::allocLargeSpan(uint32_t Pages, bool *IsClean) {
-  assert(Pages > 0 && "zero-length span request");
-  // Exact-length reuse of punch-failure leftovers; misses fall through
-  // to the shared clean reserve like every class shard.
-  lockShard(kLargeArenaShard);
-  const uint32_t Off = popDirtyLocked(Shards[kLargeArenaShard], Pages);
-  unlockShard(kLargeArenaShard);
+  // state is touched. (On the large shard the dirty spans are
+  // punch-failure leftovers of mixed lengths, matched exactly.)
+  lockShard(Shard);
+  const uint32_t Off = popDirtyLocked(Shards[Shard], Pages);
+  unlockShard(Shard);
   if (Off != kInvalidSpanOff) {
     *IsClean = false;
     return Off;
@@ -191,41 +177,26 @@ void MeshableArena::notePunchFallback() {
                    telemetry::kDegradePunchFallback, 0);
 }
 
-void MeshableArena::freeDirtySpanForClass(int Class, uint32_t PageOff,
-                                          uint32_t Pages) {
-  assert(Class >= 0 && Class < kNumSizeClasses && "size class out of range");
-  lockShard(Class);
-  const size_t Total = pushDirtyLocked(Shards[Class], PageOff, Pages);
+void MeshableArena::freeDirtySpan(int Shard, uint32_t PageOff, uint32_t Pages) {
+  assert(Shard >= 0 && Shard < kNumArenaShards && "arena shard out of range");
+  lockShard(Shard);
+  const size_t Total = pushDirtyLocked(Shards[Shard], PageOff, Pages);
   if (pagesToBytes(Total) > MaxDirtyBytes) {
     // Budget trip: flush only this shard. The just-pushed span is
     // always part of the sweep, so every over-budget push releases
     // pages — the total stays bounded without a cross-shard sweep
     // (the mesh pass's global flush covers idle shards).
     telemetry::event(telemetry::EventType::kDirtyTrip,
-                     static_cast<uint16_t>(Class), pagesToBytes(Total));
-    flushShardLocked(Shards[Class], /*DeferFailures=*/false,
+                     static_cast<uint16_t>(Shard), pagesToBytes(Total));
+    flushShardLocked(Shards[Shard], /*DeferFailures=*/false,
                      /*ArenaLocked=*/false);
   }
-  unlockShard(Class);
+  unlockShard(Shard);
 }
 
-void MeshableArena::freeDirtyLargeSpan(uint32_t PageOff, uint32_t Pages) {
-  lockShard(kLargeArenaShard);
-  const size_t Total =
-      pushDirtyLocked(Shards[kLargeArenaShard], PageOff, Pages);
-  if (pagesToBytes(Total) > MaxDirtyBytes) {
-    telemetry::event(telemetry::EventType::kDirtyTrip,
-                     static_cast<uint16_t>(kLargeArenaShard),
-                     pagesToBytes(Total));
-    flushShardLocked(Shards[kLargeArenaShard], /*DeferFailures=*/false,
-                     /*ArenaLocked=*/false);
-  }
-  unlockShard(kLargeArenaShard);
-}
-
-void MeshableArena::freeReleasedSpanForClass(int Class, uint32_t PageOff,
-                                             uint32_t Pages) {
-  assert(Class >= 0 && Class < kNumSizeClasses && "size class out of range");
+void MeshableArena::freeReleasedSpan(int Shard, uint32_t PageOff,
+                                     uint32_t Pages) {
+  assert(Shard >= 0 && Shard < kNumArenaShards && "arena shard out of range");
   if (timedRelease(PageOff, Pages)) {
     lockArena();
     binCleanLocked(PageOff, Pages);
@@ -237,22 +208,9 @@ void MeshableArena::freeReleasedSpanForClass(int Class, uint32_t PageOff,
   // never clean (clean spans must read back as zero — calloc skips
   // its memset on them). No flush trigger here: it would retry the
   // same punch immediately.
-  lockShard(Class);
-  pushDirtyLocked(Shards[Class], PageOff, Pages);
-  unlockShard(Class);
-}
-
-void MeshableArena::freeReleasedLargeSpan(uint32_t PageOff, uint32_t Pages) {
-  if (timedRelease(PageOff, Pages)) {
-    lockArena();
-    binCleanLocked(PageOff, Pages);
-    unlockArena();
-    return;
-  }
-  notePunchFallback();
-  lockShard(kLargeArenaShard);
-  pushDirtyLocked(Shards[kLargeArenaShard], PageOff, Pages);
-  unlockShard(kLargeArenaShard);
+  lockShard(Shard);
+  pushDirtyLocked(Shards[Shard], PageOff, Pages);
+  unlockShard(Shard);
 }
 
 void MeshableArena::releaseForMesh(int Class, uint32_t PageOff,

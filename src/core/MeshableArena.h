@@ -64,11 +64,13 @@ class MiniHeap;
 class MeshableArena {
 public:
   /// Shard count: one per size class plus the large-span shard.
+  /// GlobalHeap's shard map is defined from these two constants.
   static constexpr int kNumArenaShards = kNumSizeClasses + 1;
   /// Index of the shard serving large (singleton) spans.
   static constexpr int kLargeArenaShard = kNumSizeClasses;
   static_assert(kNumArenaShards <= 32,
-                "the debug held-arena-shard mask is a uint32_t; widen it "
+                "the debug held-shard masks (heap and arena) are uint32_t; "
+                "widen them (and re-audit the lock-order diagnostics) "
                 "before adding shards");
 
   explicit MeshableArena(size_t ArenaBytes, size_t MaxDirtyBytes);
@@ -86,44 +88,31 @@ public:
   /// fault injection). Callers translate it into nullptr/ENOMEM.
   static constexpr uint32_t kInvalidSpanOff = ~0u;
 
-  /// Allocates a span of \p Pages pages for \p Class, or
-  /// kInvalidSpanOff on resource exhaustion (nothing is leaked: a span
-  /// whose commit fails stays binned). Dirty spans of the class are
+  /// Allocates a span of \p Pages pages from arena shard \p Shard (a
+  /// size class, or kLargeArenaShard), or kInvalidSpanOff on resource
+  /// exhaustion (nothing is leaked: a span whose commit fails stays
+  /// binned). The shard's dirty spans of exactly \p Pages pages are
   /// preferred (already committed, reuse costs nothing); a miss falls
   /// through to the shared clean reserve / frontier under ArenaLock.
   /// Sets \p IsClean true when the span is known demand-zero; dirty
   /// spans may contain stale bytes and callers must not assume zero.
-  /// Callers must hold heap shard \p Class's lock (the fork quiesce
+  /// Callers must hold heap shard \p Shard's lock (the fork quiesce
   /// relies on it: a committed-but-unowned span must not be visible at
   /// the fork instant).
-  uint32_t allocSpanForClass(int Class, uint32_t Pages, bool *IsClean);
+  uint32_t allocSpan(int Shard, uint32_t Pages, bool *IsClean);
 
-  /// Large-object span allocation: exact-length reuse from the large
-  /// shard's dirty leftovers, then the clean reserve / frontier.
-  /// Callers must hold the large heap shard's lock (same fork-window
-  /// argument as allocSpanForClass).
-  uint32_t allocLargeSpan(uint32_t Pages, bool *IsClean);
-
-  /// Returns a class-\p Class span whose physical pages are still live
-  /// to the class's dirty list; flushes the shard when the process-wide
+  /// Returns a span whose physical pages are still live to shard
+  /// \p Shard's dirty list; flushes the shard when the process-wide
   /// dirty budget trips.
-  void freeDirtySpanForClass(int Class, uint32_t PageOff, uint32_t Pages);
+  void freeDirtySpan(int Shard, uint32_t PageOff, uint32_t Pages);
 
-  /// Punches the span's pages immediately (non-meshable classes, paper
-  /// Section 4: "the pages are directly freed to the OS"). A failed
-  /// punch degrades: the span parks on the class shard's dirty list —
-  /// never the clean reserve, whose spans must read back as zero — and
-  /// the punch is retried at the shard's next flush.
-  void freeReleasedSpanForClass(int Class, uint32_t PageOff, uint32_t Pages);
-
-  /// freeDirtySpanForClass's large-span counterpart: parks the span on
-  /// the large shard's dirty list (exact-length reuse via
-  /// allocLargeSpan), flushing that shard on a budget trip.
-  void freeDirtyLargeSpan(uint32_t PageOff, uint32_t Pages);
-
-  /// freeReleasedSpanForClass's large-span counterpart; punch failures
-  /// park on the large shard.
-  void freeReleasedLargeSpan(uint32_t PageOff, uint32_t Pages);
+  /// Punches the span's pages immediately (non-meshable classes and
+  /// large objects, paper Section 4: "the pages are directly freed to
+  /// the OS"). A failed punch degrades: the span parks on shard
+  /// \p Shard's dirty list — never the clean reserve, whose spans must
+  /// read back as zero — and the punch is retried at the shard's next
+  /// flush.
+  void freeReleasedSpan(int Shard, uint32_t PageOff, uint32_t Pages);
 
   /// Punches the meshed-away source span's file pages after a
   /// successful mesh of class \p Class. Unlike the freeReleased paths

@@ -107,7 +107,7 @@ public:
     // deferred post-fork restart serializes against prepare() the same
     // way this initial bring-up does.
     R->BgMesher = InternalHeap::global().makeNew<BackgroundMesher>(
-        R->Global, WakeMs, Cfg, &detail::ForkRegistryLock);
+        R->Global, WakeMs, Cfg, detail::ForkRegistryLock);
     R->BgMesher->start();
   }
 

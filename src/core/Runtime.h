@@ -47,6 +47,10 @@ extern SpinLock ForkRegistryLock;
 class Runtime {
 public:
   explicit Runtime(const MeshOptions &Opts = MeshOptions());
+  /// Precondition: no other thread is using this runtime. Their thread
+  /// heaps must already be reclaimed (their threads exited) and no
+  /// call into the runtime may be in flight. The background mesher's
+  /// teardown relies on it (BackgroundMesher::stop).
   ~Runtime();
 
   Runtime(const Runtime &) = delete;
@@ -57,8 +61,9 @@ public:
   void *calloc(size_t Count, size_t Size);
   void *realloc(void *Ptr, size_t Bytes);
 
-  /// posix_memalign semantics; alignments up to one page are supported
-  /// exactly, larger alignments via page-aligned large objects.
+  /// posix_memalign semantics. Alignments up to one page are served
+  /// (size-classed slots, or page-aligned large objects); larger
+  /// alignments return EINVAL.
   int posixMemalign(void **Out, size_t Alignment, size_t Bytes);
 
   /// malloc_usable_size semantics (0 for unknown pointers).

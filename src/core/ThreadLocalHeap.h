@@ -51,8 +51,6 @@ public:
   /// global heap. Called on thread exit and by tests.
   void releaseAll();
 
-  Rng &rng() { return Random; }
-
 private:
   ShuffleVector Vectors[kNumSizeClasses];
   /// Dense mirror of the attached set (kept in lock-step with each

@@ -28,7 +28,7 @@ timespec deadlineIn(uint64_t Ms) {
 
 BackgroundMesher::BackgroundMesher(GlobalHeap &Heap, uint64_t WakeMs,
                                    const PressureConfig &Cfg,
-                                   SpinLock *LifecycleLock)
+                                   SpinLock &LifecycleLock)
     : Heap(Heap), Source(Heap), Monitor(Source, Cfg),
       WakeMs(WakeMs == 0 ? 1 : WakeMs), LifecycleLock(LifecycleLock) {
   initMonotonicCondVar();
@@ -84,22 +84,11 @@ void BackgroundMesher::start() {
 }
 
 void BackgroundMesher::stop() {
-  // Block further deferred fork restarts first: a racing poke that
-  // already won the RestartPending exchange may still run start(), but
-  // no new one can begin after this store.
-  RestartPending.store(false, std::memory_order_relaxed);
-  // Two clear+drain rounds. Round one waits out every mutator that was
-  // inside a requestMeshPass() dispatch when the sink came down — one
-  // of those pokes may itself have been the deferred fork restart,
-  // whose start() re-registers the sink. Round two clears that
-  // re-registration and waits out any poke that loaded it. With
-  // RestartPending down and all dispatches epoch-drained, no third
-  // registration can appear, so on return nothing can still be (or
-  // ever again be) executing on this object through the heap.
-  for (int Round = 0; Round < 2; ++Round) {
-    Heap.setMeshRequestSink(nullptr);
-    Heap.synchronizeMeshRequestSink();
-  }
+  // A single clear suffices under the precondition (no other thread
+  // uses the heap): no poke is inside requestMeshPass(), so none can
+  // be running a deferred restart that would re-register the sink,
+  // and the mesher thread never pokes.
+  Heap.setMeshRequestSink(nullptr);
   if (!Running.load(std::memory_order_acquire))
     return;
   M.lock();
@@ -177,12 +166,8 @@ void BackgroundMesher::requestMeshPass() {
   // sink) or sees a fully started thread it can join.
   if (RestartPending.load(std::memory_order_relaxed) &&
       RestartPending.exchange(false, std::memory_order_acq_rel)) {
-    if (LifecycleLock != nullptr) {
-      SpinLockGuard Guard(*LifecycleLock);
-      start();
-    } else {
-      start();
-    }
+    SpinLockGuard Guard(LifecycleLock);
+    start();
   }
   // Fast path: a request is already pending; the thread will fold this
   // trigger into the pass it is about to run.

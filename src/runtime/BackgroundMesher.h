@@ -16,8 +16,10 @@
 ///     so no pokes ever arrive) gets compacted on pressure alone.
 ///
 /// Lifecycle: start() spawns the thread and registers the sink with the
-/// heap; stop() unregisters, drains in-flight pokes (epoch
-/// synchronize), raises the stop flag and joins. The fork protocol
+/// heap; stop() unregisters, raises the stop flag and joins. Runtime
+/// creates the mesher after its heap and deletes it first in ~Runtime,
+/// once no other thread uses the runtime, so no poke can be in flight
+/// when it goes away. The fork protocol
 /// (quiesceForFork/resumeAfterFork{Parent,Child}, driven by Runtime's
 /// pthread_atfork handlers) stops the thread *before* fork — so the
 /// fork happens with no mesher thread at all and no heap lock held by
@@ -56,14 +58,12 @@ namespace mesh {
 class BackgroundMesher final : public MeshRequestSink {
 public:
   /// \p WakeMs is the timer interval; \p Cfg the pressure policy.
-  /// \p LifecycleLock, when non-null, is held around the deferred
-  /// post-fork restart's start() so mesher bring-up cannot interleave
-  /// with a concurrent fork's quiesce — Runtime passes its fork
-  /// registry lock (the lock prepare() holds for the whole fork
-  /// window); standalone/test constructions may pass nullptr.
+  /// \p LifecycleLock is held around the deferred post-fork restart's
+  /// start() so mesher bring-up cannot interleave with a concurrent
+  /// fork's quiesce — Runtime passes its fork registry lock (the lock
+  /// prepare() holds for the whole fork window).
   BackgroundMesher(GlobalHeap &Heap, uint64_t WakeMs,
-                   const PressureConfig &Cfg,
-                   SpinLock *LifecycleLock = nullptr);
+                   const PressureConfig &Cfg, SpinLock &LifecycleLock);
   ~BackgroundMesher() override;
 
   BackgroundMesher(const BackgroundMesher &) = delete;
@@ -73,10 +73,11 @@ public:
   /// sink. Idempotent.
   void start();
 
-  /// Unregisters the sink, waits out mutators already inside a
-  /// requestMeshPass() dispatch (so no call can still be executing on
-  /// this object when the caller deletes it), then stops and joins the
-  /// thread. Idempotent; safe to call with the thread already stopped.
+  /// Unregisters the sink, then stops and joins the thread.
+  /// Idempotent; safe to call with the thread already stopped.
+  /// Precondition: no other thread is using the heap, so none can be
+  /// inside requestMeshPass() on this object (~Runtime, the only
+  /// caller, requires every other thread to be done with the runtime).
   void stop();
 
   bool running() const { return Running.load(std::memory_order_acquire); }
@@ -129,7 +130,7 @@ private:
   GlobalHeapFootprintSource Source;
   PressureMonitor Monitor;
   const uint64_t WakeMs;
-  SpinLock *const LifecycleLock; ///< See the ctor; may be null.
+  SpinLock &LifecycleLock; ///< See the ctor.
 
   pthread_t Thread{};
   PthreadMutex M;

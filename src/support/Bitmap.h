@@ -159,14 +159,6 @@ public:
                         std::memory_order_acq_rel);
   }
 
-  /// Copies \p Other's contents over this bitmap (non-atomic snapshot
-  /// semantics; used only under the global heap lock).
-  void copyFrom(const Bitmap &Other) {
-    for (uint32_t W = 0; W < kWords; ++W)
-      Words[W].store(Other.Words[W].load(std::memory_order_acquire),
-                     std::memory_order_release);
-  }
-
   /// Raw word, for tests and the analysis toolkit.
   uint64_t word(uint32_t W) const {
     assert(W < kWords && "word index out of range");

@@ -38,7 +38,6 @@ void InternalHeap::refill(unsigned Class) {
   if (ChunkRemaining < Block) {
     ChunkCursor = static_cast<char *>(mapAnonymous(kChunkBytes));
     ChunkRemaining = kChunkBytes;
-    MappedBytes += kChunkBytes;
   }
   // Carve the remainder of the chunk into blocks of this class.
   while (ChunkRemaining >= Block) {
@@ -55,7 +54,6 @@ void *InternalHeap::alloc(size_t Size) {
     const size_t Bytes = roundUpPow2Multiple(Size, kPageSize);
     SpinLockGuard Guard(Lock);
     LiveBytes += Bytes;
-    MappedBytes += Bytes;
     return mapAnonymous(Bytes);
   }
   const unsigned Class = classForSize(Size);
@@ -77,7 +75,6 @@ void InternalHeap::free(void *Ptr, size_t Size) {
     munmap(Ptr, Bytes);
     SpinLockGuard Guard(Lock);
     LiveBytes -= Bytes;
-    MappedBytes -= Bytes;
     return;
   }
   const unsigned Class = classForSize(Size);

@@ -57,19 +57,13 @@ public:
   }
 
   /// Bytes currently handed out to live metadata objects. Takes the
-  /// heap lock: the counters are plain size_t fields updated under it,
+  /// heap lock: the counter is a plain size_t field updated under it,
   /// and an unlocked read would be a data race (a gap the thread-safety
   /// annotations surfaced — the pre-annotation accessors read the
   /// guarded fields lockless).
   size_t liveBytes() const {
     SpinLockGuard Guard(Lock);
     return LiveBytes;
-  }
-
-  /// Bytes of address space this heap has mapped for metadata.
-  size_t mappedBytes() const {
-    SpinLockGuard Guard(Lock);
-    return MappedBytes;
   }
 
   /// The process-wide metadata heap used by default runtimes and the
@@ -95,13 +89,12 @@ private:
   static unsigned classForSize(size_t Size);
   void refill(unsigned Class) MESH_REQUIRES(Lock);
 
-  /// mutable so the const byte-count accessors can lock.
+  /// mutable so the const byte-count accessor can lock.
   mutable SpinLock Lock;
   FreeNode *FreeLists[kNumClasses] MESH_GUARDED_BY(Lock) = {};
   char *ChunkCursor MESH_GUARDED_BY(Lock) = nullptr;
   size_t ChunkRemaining MESH_GUARDED_BY(Lock) = 0;
   size_t LiveBytes MESH_GUARDED_BY(Lock) = 0;
-  size_t MappedBytes MESH_GUARDED_BY(Lock) = 0;
 };
 
 } // namespace mesh

@@ -8,9 +8,9 @@
 ///   MeshLock -> heap shards ascending -> arena shards ascending
 ///            -> ArenaLock
 ///
-/// with EpochSyncLock/SinkSyncLock as leaves. Debug builds abort on
-/// any out-of-rank acquisition (pinned by ShardLockOrderTest's death
-/// tests); release builds compile every call here to nothing.
+/// with EpochSyncLock as a leaf. Debug builds abort on any out-of-rank
+/// acquisition (pinned by ShardLockOrderTest's death tests); release
+/// builds compile every call here to nothing.
 ///
 //===----------------------------------------------------------------------===//
 

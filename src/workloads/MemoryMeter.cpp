@@ -58,10 +58,6 @@ size_t MemoryMeter::peakCommittedBytes() const {
   return Peak;
 }
 
-double MemoryMeter::elapsedSeconds() const {
-  return Samples.empty() ? 0.0 : Samples.back().ElapsedSeconds;
-}
-
 void MemoryMeter::printSeries(const char *Label) const {
   // Keep ordering with anything already printf'd, then bypass stdio:
   // its output buffer is heap-allocated on first flush, which would

@@ -72,7 +72,6 @@ public:
 
   double meanCommittedBytes() const;
   size_t peakCommittedBytes() const;
-  double elapsedSeconds() const;
 
   /// Prints "series <label> <op> <seconds> <MiB>" rows for plotting.
   /// Formats into a stack buffer and write(2)s past stdio, so dumping

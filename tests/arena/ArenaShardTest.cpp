@@ -65,10 +65,10 @@ TEST(ArenaShardTest, DisjointClassStormsTouchDisjointShardLocks) {
     const uint32_t Pages = sizeClassInfo(Class).SpanPages;
     for (int I = 0; I < 400; ++I) {
       bool Clean = false;
-      const uint32_t Off = A.allocSpanForClass(Class, Pages, &Clean);
+      const uint32_t Off = A.allocSpan(Class, Pages, &Clean);
       ASSERT_NE(Off, MeshableArena::kInvalidSpanOff);
       A.arenaBase()[pagesToBytes(Off)] = static_cast<char>(I);
-      A.freeDirtySpanForClass(Class, Off, Pages);
+      A.freeDirtySpan(Class, Off, Pages);
     }
   };
   std::thread T1(Storm, ClassA);
@@ -93,10 +93,10 @@ TEST(ArenaShardTest, DirtyAccountingAgreesPerShardAndAggregate) {
   for (int C : Classes) {
     const uint32_t Pages = sizeClassInfo(C).SpanPages;
     bool Clean = false;
-    const uint32_t Off = A.allocSpanForClass(C, Pages, &Clean);
+    const uint32_t Off = A.allocSpan(C, Pages, &Clean);
     ASSERT_NE(Off, MeshableArena::kInvalidSpanOff);
     memset(A.arenaBase() + pagesToBytes(Off), 0x5A, pagesToBytes(Pages));
-    A.freeDirtySpanForClass(C, Off, Pages);
+    A.freeDirtySpan(C, Off, Pages);
     ExpectedDirty += Pages;
     EXPECT_EQ(A.dirtyPagesForShard(C), Pages);
   }
@@ -130,19 +130,19 @@ TEST(ArenaShardTest, BudgetTripFlushesOnlyTheTrippingShard) {
   bool Clean = false;
   uint32_t Offs[8];
   for (auto &Off : Offs) {
-    Off = A.allocSpanForClass(ClassA, 1, &Clean);
+    Off = A.allocSpan(ClassA, 1, &Clean);
     ASSERT_NE(Off, MeshableArena::kInvalidSpanOff);
     A.arenaBase()[pagesToBytes(Off)] = 1;
   }
-  const uint32_t Tripper = A.allocSpanForClass(ClassB, 1, &Clean);
+  const uint32_t Tripper = A.allocSpan(ClassB, 1, &Clean);
   ASSERT_NE(Tripper, MeshableArena::kInvalidSpanOff);
   A.arenaBase()[pagesToBytes(Tripper)] = 1;
 
   for (auto Off : Offs)
-    A.freeDirtySpanForClass(ClassA, Off, 1);
+    A.freeDirtySpan(ClassA, Off, 1);
   EXPECT_EQ(A.dirtyPages(), 8u) << "at the budget is not over it";
 
-  A.freeDirtySpanForClass(ClassB, Tripper, 1);
+  A.freeDirtySpan(ClassB, Tripper, 1);
   EXPECT_EQ(A.dirtyPagesForShard(ClassB), 0u) << "tripping shard flushed";
   EXPECT_EQ(A.dirtyPagesForShard(ClassA), 8u)
       << "bystander shard's dirty cache must survive a foreign trip";
@@ -166,7 +166,7 @@ TEST(ArenaShardTest, ConcurrentChurnKeepsCountersCoherent) {
       for (int I = 0; I < kOpsPerThread; ++I) {
         if (Live.empty() || R.withProbability(0.6)) {
           bool Clean = false;
-          const uint32_t Off = A.allocSpanForClass(Class, Pages, &Clean);
+          const uint32_t Off = A.allocSpan(Class, Pages, &Clean);
           if (Off == MeshableArena::kInvalidSpanOff) {
             Failed.store(true);
             return;
@@ -174,12 +174,12 @@ TEST(ArenaShardTest, ConcurrentChurnKeepsCountersCoherent) {
           A.arenaBase()[pagesToBytes(Off)] = static_cast<char>(I);
           Live.push_back(Off);
         } else {
-          A.freeDirtySpanForClass(Class, Live.back(), Pages);
+          A.freeDirtySpan(Class, Live.back(), Pages);
           Live.pop_back();
         }
       }
       for (uint32_t Off : Live)
-        A.freeDirtySpanForClass(Class, Off, Pages);
+        A.freeDirtySpan(Class, Off, Pages);
     });
   }
   for (auto &T : Threads)

@@ -21,6 +21,8 @@
 namespace mesh {
 namespace {
 
+constexpr int kLarge = MeshableArena::kLargeArenaShard;
+
 struct LiveSpan {
   uint32_t Off;
   uint32_t Pages;
@@ -40,7 +42,7 @@ TEST_P(ArenaProperty, AccountingMatchesModelAndKernel) {
     if (DoAlloc) {
       const uint32_t Pages = Lengths[Driver.inRange(0, 7)];
       bool Clean = false;
-      const uint32_t Off = Arena.allocLargeSpan(Pages, &Clean);
+      const uint32_t Off = Arena.allocSpan(kLarge, Pages, &Clean);
       // Touch every page so kernel blocks match our commit accounting.
       memset(Arena.arenaBase() + pagesToBytes(Off), 0x5A,
              pagesToBytes(Pages));
@@ -57,9 +59,9 @@ TEST_P(ArenaProperty, AccountingMatchesModelAndKernel) {
       Live.pop_back();
       ModelLivePages -= S.Pages;
       if (Driver.withProbability(0.5))
-        Arena.freeDirtyLargeSpan(S.Off, S.Pages);
+        Arena.freeDirtySpan(kLarge, S.Off, S.Pages);
       else
-        Arena.freeReleasedLargeSpan(S.Off, S.Pages);
+        Arena.freeReleasedSpan(kLarge, S.Off, S.Pages);
     }
     // Invariant: committed = live + dirty-cached.
     ASSERT_EQ(Arena.committedPages(), ModelLivePages + Arena.dirtyPages())
@@ -72,7 +74,7 @@ TEST_P(ArenaProperty, AccountingMatchesModelAndKernel) {
       << "kernel ground truth must agree after the flush";
 
   for (const LiveSpan &S : Live)
-    Arena.freeReleasedLargeSpan(S.Off, S.Pages);
+    Arena.freeReleasedSpan(kLarge, S.Off, S.Pages);
   EXPECT_EQ(Arena.committedPages(), 0u);
   EXPECT_EQ(Arena.vm().kernelFilePages(), 0u);
 }
@@ -86,14 +88,15 @@ TEST(ArenaPropertyTest, CleanSpansAlwaysReadZero) {
   for (int Round = 0; Round < 200; ++Round) {
     bool Clean = false;
     const uint32_t Pages = 1u << Driver.inRange(0, 4);
-    const uint32_t Off = Arena.allocLargeSpan(Pages, &Clean);
+    const uint32_t Off = Arena.allocSpan(kLarge, Pages, &Clean);
     char *P = Arena.arenaBase() + pagesToBytes(Off);
     if (Clean) {
       for (size_t I = 0; I < pagesToBytes(Pages); I += 509)
         ASSERT_EQ(P[I], 0) << "clean span has stale bytes";
     }
     memset(P, 0xEE, pagesToBytes(Pages));
-    Arena.freeReleasedLargeSpan(Off, Pages); // punched: must be zero on reuse
+    // Punched: must be zero on reuse.
+    Arena.freeReleasedSpan(kLarge, Off, Pages);
   }
 }
 

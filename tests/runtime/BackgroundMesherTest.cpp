@@ -2,7 +2,8 @@
 ///
 /// Pins the background runtime's contract:
 ///   - thread lifecycle: start with the Runtime, observable wakeups,
-///     clean stop/join on teardown (repeatedly);
+///     clean stop/join on teardown (repeatedly), including right after
+///     poking threads are joined;
 ///   - the poke path: allocation triggers execute on the mesher thread,
 ///     never on the mutator;
 ///   - the acceptance scenario: an idle, fragmented heap — allocate,
@@ -197,6 +198,42 @@ TEST(BackgroundMesherTest, KnobWritesSerializeWithBackgroundPasses) {
       << "the mesher ran too few passes to exercise the race";
   Stop.store(true, std::memory_order_relaxed);
   Writer.join();
+}
+
+// The teardown contract: ~Runtime runs only once every other thread is
+// done with the runtime, so stop() clears the sink once and deletes the
+// mesher with nothing pinning it. Pokers that hit the sink on every
+// refill until they exit, and are then joined, must leave a runtime
+// that tears down cleanly; a poke still in flight at the delete would
+// be a use-after-free, which TSan (and ASan) would report.
+TEST(BackgroundMesherTest, TeardownAfterPokersJoin) {
+  MeshOptions Opts = backgroundOptions();
+  Opts.BackgroundWakeMs = 1000;      // timer effectively off
+  Opts.PressureFragThresholdPct = 0; // pressure off: pokes only
+  Opts.MeshPeriodMs = 0;             // every refill pokes
+  const int Refills = static_cast<int>(stressScaled(8));
+  for (int Round = 0; Round < 4; ++Round) {
+    Runtime R(Opts);
+    std::vector<std::thread> Pokers;
+    for (int T = 0; T < 3; ++T) {
+      Pokers.emplace_back([&R, Refills] {
+        for (int I = 0; I < Refills; ++I) {
+          std::vector<void *> Block;
+          for (int J = 0; J < 2 * 256; ++J)
+            Block.push_back(R.malloc(16));
+          R.localHeap().releaseAll();
+          for (void *P : Block)
+            R.free(P);
+        }
+      });
+    }
+    for (std::thread &T : Pokers)
+      T.join();
+    EXPECT_GE(readCounter(R, "background.requests"), 1u)
+        << "round " << Round << ": no poke reached the mesher";
+    EXPECT_EQ(readCounter(R, "stats.mesh_passes_foreground"), 0u)
+        << "round " << Round;
+  }
 }
 
 // The acceptance scenario (ISSUE 4): allocate, free most objects, stop

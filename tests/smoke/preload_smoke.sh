@@ -89,6 +89,23 @@ if pid == 0:
 st=os.waitpid(pid, 0)[1]
 junk=[bytearray(64) for _ in range(20000)]
 sys.exit(0 if st == 0 else 1)'
+
+  # MESH_NO_MESH is a boolean knob: "0" and "false" keep meshing on,
+  # "1" and "on" turn it off. The preloaded process reads the result
+  # back through the mesh.enabled mallctl leaf (argv[1] = expected).
+  ENABLED_PY='import ctypes,sys
+v=ctypes.c_uint64(); n=ctypes.c_size_t(8)
+rc=ctypes.CDLL(None).mesh_mallctl(b"mesh.enabled", ctypes.byref(v),
+                                  ctypes.byref(n), None, ctypes.c_size_t(0))
+sys.exit(0 if rc == 0 and v.value == int(sys.argv[1]) else 1)'
+  run_case_bounded "MESH_NO_MESH=0 keeps meshing on" \
+    env MESH_NO_MESH=0 python3 -c "$ENABLED_PY" 1
+  run_case_bounded "MESH_NO_MESH=false keeps meshing on" \
+    env MESH_NO_MESH=false python3 -c "$ENABLED_PY" 1
+  run_case_bounded "MESH_NO_MESH=1 turns meshing off" \
+    env MESH_NO_MESH=1 python3 -c "$ENABLED_PY" 0
+  run_case_bounded "MESH_NO_MESH=on turns meshing off" \
+    env MESH_NO_MESH=on python3 -c "$ENABLED_PY" 0
 else
   echo "SKIP: python3 (not installed)"
 fi
