@@ -116,9 +116,9 @@ public:
     S.CommittedBytes = static_cast<double>(R.committedBytes());
     S.KernelFileBytes =
         static_cast<double>(pagesToBytes(R.global().kernelFilePages()));
-    S.InUseBytes = static_cast<double>(
-        GlobalHeapFootprintSource(R.global()).sampleFootprint().InUseBytes);
-    S.RssBytes = static_cast<double>(PressureMonitor::readRssBytes());
+    S.InUseBytes =
+        static_cast<double>(R.global().sampleFootprint().InUseBytes);
+    S.RssBytes = static_cast<double>(readRssBytes());
     S.MaxPauseFgNs = static_cast<double>(
         Stats.MaxForegroundPassNs.load(std::memory_order_relaxed));
     S.MaxPauseBgNs = static_cast<double>(
@@ -159,7 +159,7 @@ class SystemStatsReader final : public StatsReader {
 public:
   AllocatorSnapshot snapshot() const override {
     AllocatorSnapshot S;
-    S.RssBytes = static_cast<double>(PressureMonitor::readRssBytes());
+    S.RssBytes = static_cast<double>(readRssBytes());
     MallctlFn Ctl = preloadedMallctl();
     if (Ctl == nullptr)
       return S;
@@ -212,7 +212,7 @@ public:
       if (Ctl("stats.committed_bytes", &Value, &Len, nullptr, 0) == 0)
         return static_cast<size_t>(Value);
     }
-    return PressureMonitor::readRssBytes();
+    return readRssBytes();
   }
   size_t peakCommittedBytes() const override { return committedBytes(); }
   const char *name() const override { return "system"; }

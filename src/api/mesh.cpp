@@ -24,7 +24,7 @@ MeshOptions optionsFromEnvironment() {
   uint64_t U = 0;
   if (envU64("MESH_PERIOD_MS", 0, ~uint64_t{0}, &U))
     Opts.MeshPeriodMs = U;
-  if (envU64("MESH_PROBES", 1, 1u << 20, &U))
+  if (envU64("MESH_PROBES", 1, kMaxMeshProbes, &U))
     Opts.MeshProbes = static_cast<uint32_t>(U);
   if (envU64("MESH_SEED", 0, ~uint64_t{0}, &U))
     Opts.Seed = U;

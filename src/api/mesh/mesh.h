@@ -29,8 +29,10 @@ int mesh_posix_memalign(void **Out, size_t Alignment, size_t Bytes);
 size_t mesh_malloc_usable_size(const void *Ptr);
 
 /// jemalloc-style control/introspection interface (paper Section 4.5).
-/// Names: "mesh.enabled", "mesh.period_ms", "mesh.probes",
-/// "mesh.max_per_pass", "mesh.now", "heap.num_shards",
+/// Names: "mesh.enabled", "mesh.period_ms", "mesh.probes" (r/w,
+/// 1..2^20), "mesh.max_per_pass" (r/w, 0 = unlimited, at most
+/// 2^32-1; an out-of-range write to either returns EINVAL and keeps
+/// the old value), "mesh.now", "heap.num_shards",
 /// "heap.flush_dirty", "epoch.fence_mode",
 /// "stats.committed_bytes", "stats.peak_committed_bytes",
 /// "stats.kernel_file_bytes", "stats.dirty_bytes", "stats.mesh_count",

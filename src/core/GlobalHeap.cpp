@@ -194,30 +194,14 @@ void GlobalHeap::pushPending(Shard &S, MiniHeap *MH) {
 }
 
 void GlobalHeap::drainAllShards() {
-  // Stop-the-world over the shard map: hold every shard lock
-  // (ascending — the one place the full rendezvous is exercised), fold
-  // in all pending frees, then pay ONE epoch synchronize for all
-  // retirees instead of one per shard. The locks stay held across the
-  // reap on purpose: releasing a shard between its drain and the
-  // delete-or-markDead hand-off would let a concurrent drain pop a
-  // stale stash entry before markDead runs and destroy the span twice.
-  // (The mesh pass avoids holding multiple locks only because
-  // MeshInProgress keeps new pushes out; no such shield exists here.)
-  // Rare path: dirty-page flushes and teardown.
+  // The refill's drain-and-reap unit, once per shard: each shard's
+  // retirees are reaped before its lock drops, so no concurrent drain
+  // can pop a stale stash entry ahead of its markDead hand-off.
   for (int I = 0; I < kNumShards; ++I) {
     lockShard(I);
-    drainStashLocked(Shards[I]);
-  }
-  bool AnyRetired = false;
-  for (int I = 0; I < kNumShards && !AnyRetired; ++I)
-    AnyRetired = !Shards[I].RetiredList.empty();
-  if (AnyRetired) {
-    epochSynchronize();
-    for (int I = 0; I < kNumShards; ++I)
-      deleteRetired(Shards[I].RetiredList);
-  }
-  for (int I = kNumShards - 1; I >= 0; --I)
+    drainPendingLocked(Shards[I]);
     unlockShard(I);
+  }
 }
 
 void GlobalHeap::drainStashLocked(Shard &S) {
@@ -606,7 +590,6 @@ HeapFootprint GlobalHeap::sampleFootprint() const {
     F.SpanBytes += MH->spanBytes();
   }
   F.CommittedBytes = pagesToBytes(Arena.committedPages());
-  F.DirtyBytes = pagesToBytes(Arena.dirtyPages());
   return F;
 }
 
@@ -619,6 +602,14 @@ void GlobalHeap::lockForFork() {
   MeshLock.lock();
   for (int I = 0; I < kNumShards; ++I)
     lockShard(I);
+  // Empty the dirty set for the child's rebuild, which replays only
+  // owned spans. Every dirty push runs under a heap shard lock
+  // (destroyMiniHeapLocked), so with all of them held the set can only
+  // shrink; DeferFailures parks a failed punch instead of keeping it
+  // dirty. Its clean-bin growth may allocate from the InternalHeap,
+  // whose fork lock is not taken yet — in the child it is inherited
+  // held, so the flush cannot wait until then.
+  Arena.flushDirty(/*DeferFailures=*/true);
   Arena.lockAllShards();
   EpochSyncLock.lock();
 }
@@ -663,26 +654,14 @@ private:
 
 } // namespace
 
-void GlobalHeap::flushDirtyForFork() {
-  // All heap locks held (fork prepare); see the header for why this
-  // cannot wait for the child: the flush's clean-bin push_back may
-  // grow an InternalVector, and that InternalHeap allocation would
-  // self-deadlock against the inherited-held InternalHeap lock in the
-  // single-threaded child. DeferFailures: under a fault storm a punch
-  // may fail, and the child's rebuild requires an empty dirty set.
-  // AssumeLocked: lockForFork already holds every arena shard lock and
-  // ArenaLock, so the flush must not re-acquire them.
-  Arena.flushDirtyAssumeLocked(/*DeferFailures=*/true);
-}
-
 void GlobalHeap::reinitializeArenaAfterFork() {
   // Called from the atfork child handler with every heap lock
   // inherited held (lockForFork ran in prepare) and exactly one thread
   // in the process; the parent is fenced on the fork pipe until this
   // returns, so the inherited mapping is a stable fork-instant
   // snapshot to copy from. Dirty bins were flushed pre-fork
-  // (flushDirtyForFork), so every committed page belongs to a live
-  // span the walk below replays — nothing here may allocate.
+  // (lockForFork), so every committed page belongs to a live span the
+  // walk below replays — nothing here may allocate.
   assert(Arena.dirtyPages() == 0 &&
          "fork child inherited unflushed dirty spans");
   PageTableForkSpanSource Spans(Arena);
@@ -890,8 +869,6 @@ size_t GlobalHeap::meshPairLocked(Shard &S, MiniHeap *Dst, MiniHeap *Src) {
     Barrier.beginEpoch();
     for (uint32_t I = 0; I < SrcSpans.size(); ++I) {
       const uint32_t Off = SrcSpans[I];
-      Barrier.addProtectedRange(Base + pagesToBytes(Off),
-                                pagesToBytes(Pages));
       if (!Arena.vm().protect(Off, Pages, /*ReadOnly=*/true)) {
         for (uint32_t J = 0; J <= I; ++J)
           unprotectSpan(SrcSpans[J]);

@@ -222,7 +222,10 @@ public:
   /// Fork quiesce: acquires every heap lock in rank order — MeshLock,
   /// heap shards, arena shards + ArenaLock (via the arena), the leaf
   /// sync lock — so the child inherits them free (no parent thread can
-  /// be mid-critical-section at the fork instant). Paired with
+  /// be mid-critical-section at the fork instant). Between the heap
+  /// shards and the arena locks it flushes the dirty span bins, so the
+  /// child's rebuild has none to skip. Caller must not yet hold the
+  /// InternalHeap lock (the flush's bin growth allocates). Paired with
   /// unlockForFork in both parent and child handlers.
   /// MESH_NO_THREAD_SAFETY_ANALYSIS: TSA cannot express a loop over a
   /// lock array, nor a lock()/unlock() pair split across functions (the
@@ -231,19 +234,6 @@ public:
   void lockForFork() MESH_NO_THREAD_SAFETY_ANALYSIS;
   void unlockForFork() MESH_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Fork-prepare companion to reinitializeArenaAfterFork: flushes the
-  /// dirty span bins while the process is still intact, so the child
-  /// handler has nothing to flush. Dirty spans hold dead contents the
-  /// child will not copy, and the flush's bin moves can grow an
-  /// InternalVector — an InternalHeap allocation that is legal here
-  /// (the InternalHeap fork lock is not yet taken) but would
-  /// self-deadlock in the child, where that lock is inherited held.
-  /// Caller must hold every heap lock (lockForFork) and not yet hold
-  /// the InternalHeap lock.
-  /// MESH_NO_THREAD_SAFETY_ANALYSIS: runs under the fork-time
-  /// hold-everything state, which TSA cannot track across functions.
-  void flushDirtyForFork() MESH_NO_THREAD_SAFETY_ANALYSIS;
-
   /// Fork-child arena recovery (the copy-to-fresh-memfd protocol):
   /// rebuilds the arena on a private memfd so the child stops sharing
   /// data pages with the parent. Drives
@@ -251,7 +241,7 @@ public:
   /// enumerates every MiniHeap once (at its physical span's first
   /// page) and replays its full span list — identity mapping plus
   /// meshed aliases. The dirty bins are guaranteed empty here
-  /// (flushDirtyForFork ran in prepare), so committedPages() already
+  /// (lockForFork flushed them in prepare), so committedPages() already
   /// equals exactly what the copy replays. Must run in the atfork
   /// child handler, before any lock is released and before the
   /// mesher's deferred restart can be consumed; allocation-free and
@@ -418,13 +408,10 @@ private:
   /// Pushes \p MH onto its shard's pending stash (MPSC; lock-free
   /// callers inside an epoch section).
   void pushPending(Shard &S, MiniHeap *MH);
-  /// Drains every shard's pending stash in turn (ascending, one lock
-  /// at a time): the full-reclamation sweep used by teardown and
+  /// drainPendingLocked on every shard in turn (ascending, one lock at
+  /// a time): the full-reclamation sweep used by teardown and
   /// dirty-page flushes.
-  /// MESH_NO_THREAD_SAFETY_ANALYSIS: acquires a *variable-indexed* lock
-  /// inside a loop, which TSA cannot model; the ascending-index rank is
-  /// enforced at runtime by LockRank (ShardLockOrderTest pins it).
-  void drainAllShards() MESH_NO_THREAD_SAFETY_ANALYSIS;
+  void drainAllShards();
   /// Pops the shard's whole pending stash and re-bins / destroys /
   /// deletes each entry according to its current state. Leaves the
   /// retired list alone — every caller must follow up with a reap

@@ -84,9 +84,9 @@ private:
 };
 
 /// One sample of the heap's physical footprint, the input to the
-/// pressure monitor (runtime/PressureMonitor.h). Produced by
-/// GlobalHeap::sampleFootprint(); lives here so the monitor can be
-/// unit-tested against fake sources without pulling in the heap.
+/// pressure policy (runtime/PressureMonitor.h). Produced by
+/// GlobalHeap::sampleFootprint(); lives here so the policy can be
+/// unit-tested on hand-built samples without pulling in the heap.
 struct HeapFootprint {
   /// Arena pages currently backed by physical memory.
   size_t CommittedBytes = 0;
@@ -97,8 +97,6 @@ struct HeapFootprint {
   size_t InUseBytes = 0;
   /// Bytes spanned by live MiniHeaps (each physical span counted once).
   size_t SpanBytes = 0;
-  /// Bytes of freed-but-not-yet-returned dirty pages.
-  size_t DirtyBytes = 0;
 };
 
 } // namespace mesh

@@ -67,6 +67,12 @@ void MeshableArena::binCleanLocked(uint32_t PageOff, uint32_t Pages) {
     OddCleanSpans.push_back(Span{PageOff, Pages});
 }
 
+void MeshableArena::binClean(uint32_t PageOff, uint32_t Pages) {
+  lockArena();
+  binCleanLocked(PageOff, Pages);
+  unlockArena();
+}
+
 uint32_t MeshableArena::popDirtyLocked(ArenaShard &S, uint32_t Pages) {
   // Back-to-front: a class shard's entries all share the class's span
   // length, so the scan terminates immediately on the hot path; only
@@ -188,8 +194,7 @@ void MeshableArena::freeDirtySpan(int Shard, uint32_t PageOff, uint32_t Pages) {
     // (the mesh pass's global flush covers idle shards).
     telemetry::event(telemetry::EventType::kDirtyTrip,
                      static_cast<uint16_t>(Shard), pagesToBytes(Total));
-    flushShardLocked(Shards[Shard], /*DeferFailures=*/false,
-                     /*ArenaLocked=*/false);
+    flushShardLocked(Shards[Shard], /*DeferFailures=*/false);
   }
   unlockShard(Shard);
 }
@@ -198,9 +203,7 @@ void MeshableArena::freeReleasedSpan(int Shard, uint32_t PageOff,
                                      uint32_t Pages) {
   assert(Shard >= 0 && Shard < kNumArenaShards && "arena shard out of range");
   if (timedRelease(PageOff, Pages)) {
-    lockArena();
-    binCleanLocked(PageOff, Pages);
-    unlockArena();
+    binClean(PageOff, Pages);
     return;
   }
   notePunchFallback();
@@ -269,27 +272,16 @@ void MeshableArena::freeAliasSpan(int Class, uint32_t PageOff,
   unlockShard(Class);
   // The span's own file pages were punched when it was meshed away;
   // restoring the identity mapping yields a demand-zero span.
-  lockArena();
-  binCleanLocked(PageOff, Pages);
-  unlockArena();
+  binClean(PageOff, Pages);
 }
 
-size_t MeshableArena::flushShardLocked(ArenaShard &S, bool DeferFailures,
-                                       bool ArenaLocked) {
+size_t MeshableArena::flushShardLocked(ArenaShard &S, bool DeferFailures) {
   size_t Released = 0;
-  // Rebinning a now-clean span needs the shared reserve; rank permits
-  // nesting ArenaLock under a shard lock, and the fork path (which
-  // already holds it) says so instead.
-  auto RebinClean = [&](uint32_t PageOff, uint32_t Pages) {
-    if (!ArenaLocked)
-      lockArena();
-    binCleanLocked(PageOff, Pages);
-    if (!ArenaLocked)
-      unlockArena();
-  };
-  // Deferred spans first: punches and remaps owed from earlier
-  // degraded operations. Each retry re-draws the fault injector, so an
-  // every-N storm drains this list once faults clear.
+  // Rebinning a now-clean span takes ArenaLock (binClean); rank permits
+  // nesting it under a shard lock. Deferred spans first: punches and
+  // remaps owed from earlier degraded operations. Each retry re-draws
+  // the fault injector, so an every-N storm drains this list once
+  // faults clear.
   for (size_t I = 0; I < S.Deferred.size();) {
     DeferredSpan &D = S.Deferred[I];
     if (D.NeedsReset && Arena.resetMapping(D.PageOff, D.Pages))
@@ -303,7 +295,7 @@ size_t MeshableArena::flushShardLocked(ArenaShard &S, bool DeferFailures,
       S.Deferred[I] = S.Deferred.back();
       S.Deferred.pop_back();
       if (Done.Reusable)
-        RebinClean(Done.PageOff, Done.Pages);
+        binClean(Done.PageOff, Done.Pages);
       continue; // re-examine the swapped-in entry
     }
     ++I;
@@ -312,7 +304,7 @@ size_t MeshableArena::flushShardLocked(ArenaShard &S, bool DeferFailures,
   for (size_t I = 0; I < S.DirtySpans.size(); ++I) {
     const Span Sp = S.DirtySpans[I];
     if (timedRelease(Sp.PageOff, Sp.Pages)) {
-      RebinClean(Sp.PageOff, Sp.Pages);
+      binClean(Sp.PageOff, Sp.Pages);
       Released += Sp.Pages;
       S.DirtyPages -= Sp.Pages;
       TotalDirtyPages.fetch_sub(Sp.Pages, std::memory_order_relaxed);
@@ -347,18 +339,9 @@ size_t MeshableArena::flushDirty(bool DeferFailures) {
   // it cannot rendezvous-deadlock with concurrent per-class traffic.
   for (int S = 0; S < kNumArenaShards; ++S) {
     lockShard(S);
-    Released += flushShardLocked(Shards[S], DeferFailures,
-                                 /*ArenaLocked=*/false);
+    Released += flushShardLocked(Shards[S], DeferFailures);
     unlockShard(S);
   }
-  return Released;
-}
-
-size_t MeshableArena::flushDirtyAssumeLocked(bool DeferFailures) {
-  size_t Released = 0;
-  for (int S = 0; S < kNumArenaShards; ++S)
-    Released += flushShardLocked(Shards[S], DeferFailures,
-                                 /*ArenaLocked=*/true);
   return Released;
 }
 

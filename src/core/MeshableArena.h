@@ -131,20 +131,11 @@ public:
   /// Punches every dirty span now, shard by shard (one shard lock at a
   /// time), retrying deferred punches and identity remaps first.
   /// Returns pages released. With \p DeferFailures (the pre-fork
-  /// flush), dirty spans whose punch fails move to the deferred list
-  /// so dirtyPages() reaches zero — the fork child's rebuild replays
-  /// only owned spans and requires an empty dirty set.
+  /// flush in GlobalHeap::lockForFork), dirty spans whose punch fails
+  /// move to the deferred list so dirtyPages() reaches zero — the fork
+  /// child's rebuild replays only owned spans and requires an empty
+  /// dirty set.
   size_t flushDirty(bool DeferFailures = false);
-
-  /// flushDirty for the fork-prepare path, where the caller already
-  /// holds every arena shard lock plus ArenaLock (lockAllShards):
-  /// re-acquiring them here would self-deadlock on the non-recursive
-  /// spin locks.
-  /// MESH_NO_THREAD_SAFETY_ANALYSIS: runs under locks acquired by a
-  /// different function (lockAllShards), a cross-function hold TSA
-  /// cannot track.
-  size_t flushDirtyAssumeLocked(bool DeferFailures = false)
-      MESH_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Fork-child fixup for the deferred lists: the fresh-file rebuild
   /// restored every identity mapping (pass 2), so pending remaps are
@@ -303,15 +294,13 @@ private:
   size_t pushDirtyLocked(ArenaShard &S, uint32_t PageOff, uint32_t Pages)
       MESH_REQUIRES(S.Lock);
 
+  /// Files a now-demand-zero span into the clean reserve under
+  /// ArenaLock.
+  void binClean(uint32_t PageOff, uint32_t Pages) MESH_EXCLUDES(ArenaLock);
+
   /// The per-shard flush: deferred retries, then the dirty sweep.
-  /// Caller holds \p S.Lock; \p ArenaLocked says whether the caller
-  /// already holds ArenaLock (fork path) or this must take it per
-  /// rebin — conditional locking the analysis cannot model, hence
-  /// MESH_NO_THREAD_SAFETY_ANALYSIS on top of the REQUIRES contract
-  /// (which call sites still check).
-  size_t flushShardLocked(ArenaShard &S, bool DeferFailures,
-                          bool ArenaLocked)
-      MESH_REQUIRES(S.Lock) MESH_NO_THREAD_SAFETY_ANALYSIS;
+  size_t flushShardLocked(ArenaShard &S, bool DeferFailures)
+      MESH_REQUIRES(S.Lock);
 
   /// Arena.release with the hole-punch syscall timed into the
   /// telemetry punch_syscall histogram.

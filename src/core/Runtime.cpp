@@ -33,7 +33,8 @@ SpinLock ForkRegistryLock;
 ///   prepare  — per runtime: join the background mesher (so the fork
 ///              happens with no allocator-owned thread at all), then
 ///              acquire every heap lock in rank order (MeshLock ->
-///              shards ascending -> ArenaLock -> EpochSyncLock); last,
+///              shards ascending -> ArenaLock -> EpochSyncLock),
+///              flushing the dirty span bins on the way; last,
 ///              the process-wide InternalHeap lock (it ranks below
 ///              ArenaLock: refills allocate metadata under it). The
 ///              child therefore inherits every lock in the released
@@ -100,14 +101,13 @@ public:
   /// fork could snapshot Running=false, then race start(): the child
   /// would inherit Running=true with no thread — swallowed pokes, and
   /// a join of a nonexistent thread at teardown.
-  static void createMesher(Runtime *R, uint64_t WakeMs,
-                           const PressureConfig &Cfg) {
+  static void createMesher(Runtime *R) {
     SpinLockGuard Guard(detail::ForkRegistryLock);
     // The mesher gets the registry lock as its lifecycle lock so its
     // deferred post-fork restart serializes against prepare() the same
     // way this initial bring-up does.
     R->BgMesher = InternalHeap::global().makeNew<BackgroundMesher>(
-        R->Global, WakeMs, Cfg, detail::ForkRegistryLock);
+        R->Global, detail::ForkRegistryLock);
     R->BgMesher->start();
   }
 
@@ -125,12 +125,9 @@ private:
     for (Runtime *R = Head; R != nullptr; R = R->NextRuntime) {
       if (R->BgMesher != nullptr)
         R->BgMesher->quiesceForFork();
+      // Also flushes the dirty bins, while allocation is still legal
+      // (the InternalHeap lock below is not yet held).
       R->Global.lockForFork();
-      // Flush dirty bins while allocation is still legal (the
-      // InternalHeap lock below is not yet held): the child's arena
-      // rebuild skips dirty spans, and the child itself must not
-      // allocate — see GlobalHeap::flushDirtyForFork.
-      R->Global.flushDirtyForFork();
     }
     InternalHeap::global().lockForFork();
     // The copy fence (see the class comment). On the off chance the
@@ -250,14 +247,10 @@ Runtime::Runtime(const MeshOptions &Opts)
   if (pthread_key_create(&HeapKey, destroyThreadHeap) != 0)
     fatalError("pthread_key_create failed");
   RuntimeForkSupport::registerRuntime(this);
-  if (Opts.BackgroundMeshing && Opts.MeshingEnabled) {
-    PressureConfig Cfg;
-    Cfg.FragThresholdPct = Opts.PressureFragThresholdPct;
-    Cfg.MinCommittedBytes = Opts.PressureMinCommittedBytes;
-    // Under the fork-registry lock: bring-up must not interleave with
-    // a concurrent fork's quiesce (see createMesher).
-    RuntimeForkSupport::createMesher(this, Opts.BackgroundWakeMs, Cfg);
-  }
+  // Under the fork-registry lock: bring-up must not interleave with a
+  // concurrent fork's quiesce (see createMesher).
+  if (Opts.BackgroundMeshing && Opts.MeshingEnabled)
+    RuntimeForkSupport::createMesher(this);
 }
 
 Runtime::~Runtime() {
@@ -441,14 +434,8 @@ template <auto Member> uint64_t background(Runtime &R) {
 
 /// Always a fresh sample (no allocation): observability should not
 /// depend on whether the mesher happens to have woken recently. Only a
-/// registered pressure.* name pays for the page-table walk.
-PressureSample pressure(Runtime &R) {
-  GlobalHeapFootprintSource Src(R.global());
-  PressureConfig Cfg;
-  Cfg.FragThresholdPct = R.global().options().PressureFragThresholdPct;
-  Cfg.MinCommittedBytes = R.global().options().PressureMinCommittedBytes;
-  return PressureMonitor(Src, Cfg).sample();
-}
+/// pressure.* leaf pays for the page-table walk and the /proc read.
+PressureSample pressure(Runtime &R) { return samplePressure(R.global()); }
 
 /// telemetry.hist.<name>: the packed 64 x u64 bucket counters.
 int readHist(Runtime &, const char *Name, const MallctlCall &C) {
@@ -501,12 +488,16 @@ constexpr MallctlLeaf kMallctlTable[] = {
     {"mesh.probes",
      [](Runtime &R) -> uint64_t { return R.global().meshProbes(); },
      [](Runtime &R, uint64_t V) {
+       if (V < 1 || V > kMaxMeshProbes)
+         return false;
        R.global().setMeshProbes(static_cast<uint32_t>(V));
        return true;
      }},
     {"mesh.max_per_pass",
      [](Runtime &R) -> uint64_t { return R.global().maxMeshesPerPass(); },
      [](Runtime &R, uint64_t V) {
+       if (V > UINT32_MAX)
+         return false;
        R.global().setMaxMeshesPerPass(static_cast<uint32_t>(V));
        return true;
      }},

@@ -103,20 +103,7 @@ void WriteBarrier::beginEpoch() {
   (void)Old;
 }
 
-void WriteBarrier::addProtectedRange(const void *Begin, size_t Bytes) {
-  assert(epochActive() && "ranges may only be added inside an epoch");
-  const uint32_t I = NumRanges.load(std::memory_order_relaxed);
-  if (I >= kMaxRanges)
-    fatalError("write barrier range table overflow");
-  RangeBegin[I].store(reinterpret_cast<uintptr_t>(Begin),
-                      std::memory_order_relaxed);
-  RangeEnd[I].store(reinterpret_cast<uintptr_t>(Begin) + Bytes,
-                    std::memory_order_relaxed);
-  NumRanges.store(I + 1, std::memory_order_release);
-}
-
 void WriteBarrier::endEpoch() {
-  NumRanges.store(0, std::memory_order_release);
   const uint64_t Old = Epoch.fetch_add(1, std::memory_order_acq_rel);
   assert((Old & 1) == 1 && "endEpoch without beginEpoch");
   (void)Old;

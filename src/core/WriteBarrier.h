@@ -40,11 +40,9 @@ public:
   void unregisterArena(const void *Base);
 
   /// Begins a mesh epoch. Exactly one epoch may be active (the caller
-  /// holds the global heap lock).
+  /// holds the global heap lock). While it is, a fault anywhere in a
+  /// registered arena waits for endEpoch().
   void beginEpoch();
-
-  /// Publishes a protected source range for the current epoch.
-  void addProtectedRange(const void *Begin, size_t Bytes);
 
   /// Ends the epoch and releases all waiting writers.
   void endEpoch();
@@ -64,16 +62,11 @@ private:
   WriteBarrier() = default;
 
   static constexpr int kMaxArenas = 16;
-  static constexpr int kMaxRanges = 64;
 
   bool inRegisteredArena(uintptr_t Addr) const;
 
   std::atomic<uintptr_t> ArenaBegin[kMaxArenas] = {};
   std::atomic<uintptr_t> ArenaEnd[kMaxArenas] = {};
-
-  std::atomic<uintptr_t> RangeBegin[kMaxRanges] = {};
-  std::atomic<uintptr_t> RangeEnd[kMaxRanges] = {};
-  std::atomic<uint32_t> NumRanges{0};
 
   /// Odd while an epoch is active.
   std::atomic<uint64_t> Epoch{0};

@@ -2,9 +2,11 @@
 
 #include "runtime/BackgroundMesher.h"
 
+#include "runtime/PressureMonitor.h"
 #include "support/Log.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <ctime>
 
@@ -26,11 +28,8 @@ timespec deadlineIn(uint64_t Ms) {
 
 } // namespace
 
-BackgroundMesher::BackgroundMesher(GlobalHeap &Heap, uint64_t WakeMs,
-                                   const PressureConfig &Cfg,
-                                   SpinLock &LifecycleLock)
-    : Heap(Heap), Source(Heap), Monitor(Source, Cfg),
-      WakeMs(WakeMs == 0 ? 1 : WakeMs), LifecycleLock(LifecycleLock) {
+BackgroundMesher::BackgroundMesher(GlobalHeap &Heap, SpinLock &LifecycleLock)
+    : Heap(Heap), LifecycleLock(LifecycleLock) {
   initMonotonicCondVar();
 }
 
@@ -183,6 +182,8 @@ void BackgroundMesher::requestMeshPass() {
 }
 
 void BackgroundMesher::run() {
+  const uint64_t WakeMs =
+      std::max<uint64_t>(Heap.options().BackgroundWakeMs, 1);
   for (;;) {
     bool Poked = false;
     {
@@ -213,8 +214,8 @@ void BackgroundMesher::run() {
     } else {
       // Timer wake: sample pressure. This is the only path an idle
       // heap ever takes — nothing allocates, so nothing pokes.
-      const PressureSample S = Monitor.sample();
-      if (Monitor.underPressure(S) && Heap.backgroundPressureMesh())
+      if (underPressure(Heap.sampleFootprint(), Heap.options()) &&
+          Heap.backgroundPressureMesh())
         PressurePasses.fetch_add(1, std::memory_order_relaxed);
     }
   }

@@ -11,9 +11,10 @@
 ///   - a *poke* (GlobalHeap::maybeMesh via the MeshRequestSink
 ///     interface): the allocation path's rate-limited trigger, now one
 ///     atomic flag write + condvar signal instead of a full pass;
-///   - the *timer*: every BackgroundWakeMs the pressure monitor samples
-///     the heap, and an idle-but-fragmented heap (nothing allocating,
-///     so no pokes ever arrive) gets compacted on pressure alone.
+///   - the *timer*: every BackgroundWakeMs the thread samples the
+///     heap's footprint against the pressure policy, and an
+///     idle-but-fragmented heap (nothing allocating, so no pokes ever
+///     arrive) gets compacted on pressure alone.
 ///
 /// Lifecycle: start() spawns the thread and registers the sink with the
 /// heap; stop() unregisters, raises the stop flag and joins. Runtime
@@ -44,7 +45,6 @@
 #define MESH_RUNTIME_BACKGROUNDMESHER_H
 
 #include "core/GlobalHeap.h"
-#include "runtime/PressureMonitor.h"
 #include "support/Annotations.h"
 #include "support/PthreadMutex.h"
 #include "support/SpinLock.h"
@@ -57,13 +57,13 @@ namespace mesh {
 
 class BackgroundMesher final : public MeshRequestSink {
 public:
-  /// \p WakeMs is the timer interval; \p Cfg the pressure policy.
-  /// \p LifecycleLock is held around the deferred post-fork restart's
-  /// start() so mesher bring-up cannot interleave with a concurrent
-  /// fork's quiesce — Runtime passes its fork registry lock (the lock
-  /// prepare() holds for the whole fork window).
-  BackgroundMesher(GlobalHeap &Heap, uint64_t WakeMs,
-                   const PressureConfig &Cfg, SpinLock &LifecycleLock);
+  /// The timer interval and the pressure thresholds come from
+  /// \p Heap's options. \p LifecycleLock is held around the deferred
+  /// post-fork restart's start() so mesher bring-up cannot interleave
+  /// with a concurrent fork's quiesce — Runtime passes its fork
+  /// registry lock (the lock prepare() holds for the whole fork
+  /// window).
+  BackgroundMesher(GlobalHeap &Heap, SpinLock &LifecycleLock);
   ~BackgroundMesher() override;
 
   BackgroundMesher(const BackgroundMesher &) = delete;
@@ -127,9 +127,6 @@ private:
   void initMonotonicCondVar();
 
   GlobalHeap &Heap;
-  GlobalHeapFootprintSource Source;
-  PressureMonitor Monitor;
-  const uint64_t WakeMs;
   SpinLock &LifecycleLock; ///< See the ctor.
 
   pthread_t Thread{};

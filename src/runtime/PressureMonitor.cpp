@@ -1,4 +1,4 @@
-//===- PressureMonitor.cpp - Memory-pressure sampling -----------------------===//
+//===- PressureMonitor.cpp - Memory-pressure policy and sampling -----------===//
 
 #include "runtime/PressureMonitor.h"
 
@@ -10,11 +10,7 @@
 
 namespace mesh {
 
-HeapFootprint GlobalHeapFootprintSource::sampleFootprint() const {
-  return Heap.sampleFootprint();
-}
-
-uint32_t PressureMonitor::fragPpm(size_t CommittedBytes, size_t InUseBytes) {
+uint32_t fragPpm(size_t CommittedBytes, size_t InUseBytes) {
   if (CommittedBytes == 0)
     return 0;
   if (InUseBytes >= CommittedBytes)
@@ -25,11 +21,19 @@ uint32_t PressureMonitor::fragPpm(size_t CommittedBytes, size_t InUseBytes) {
   return static_cast<uint32_t>((Slack * 1000000ULL) / CommittedBytes);
 }
 
-size_t PressureMonitor::readRssBytes() {
+bool underPressure(const HeapFootprint &F, const MeshOptions &Opts) {
+  if (Opts.PressureFragThresholdPct == 0)
+    return false;
+  if (F.CommittedBytes < Opts.PressureMinCommittedBytes)
+    return false;
+  return fragPpm(F.CommittedBytes, F.InUseBytes) >=
+         Opts.PressureFragThresholdPct * 10000u;
+}
+
+size_t readRssBytes() {
   // /proc/self/statm: "size resident shared text lib data dt", all in
-  // pages. Raw open/read/parse — no stdio, no allocation (this runs on
-  // the background thread of an allocator, and in tests inside
-  // mallctl).
+  // pages. Raw open/read/parse — no stdio, no allocation (this runs
+  // inside the allocator's mallctl).
   const int Fd = open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
   if (Fd < 0)
     return 0;
@@ -52,9 +56,9 @@ size_t PressureMonitor::readRssBytes() {
   return static_cast<size_t>(ResidentPages) * kPageSize;
 }
 
-PressureSample PressureMonitor::sample() const {
+PressureSample samplePressure(const GlobalHeap &Heap) {
   PressureSample S;
-  S.Footprint = Source.sampleFootprint();
+  S.Footprint = Heap.sampleFootprint();
   S.RssBytes = readRssBytes();
   S.FragPpm = fragPpm(S.Footprint.CommittedBytes, S.Footprint.InUseBytes);
   return S;

@@ -1,4 +1,4 @@
-//===- PressureMonitor.h - Memory-pressure sampling -------------*- C++ -*-===//
+//===- PressureMonitor.h - Memory-pressure policy and sampling --*- C++ -*-===//
 ///
 /// \file
 /// Decides *when* an idle heap deserves a compaction pass. The paper's
@@ -8,13 +8,13 @@
 /// again, so nothing ever trips the trigger and the committed pages
 /// linger forever.
 ///
-/// The monitor samples a HeapFootprint (committed vs bitmap-live bytes,
-/// dirty-page debt) through the FootprintSource interface plus the
-/// process RSS from /proc/self/statm, reduces it to one fragmentation
-/// ratio, and answers "is this heap worth compacting right now?"
-/// against the configured thresholds. The interface exists so the unit
-/// test can drive the policy with a fake source; the real source is a
-/// one-line adapter over GlobalHeap::sampleFootprint().
+/// underPressure() is the policy: a pure function of one HeapFootprint
+/// (committed vs bitmap-live bytes) and the heap's options, so tests
+/// drive it with hand-built footprints. The background mesher's timer
+/// wake feeds it GlobalHeap::sampleFootprint() directly.
+/// samplePressure() adds the process RSS from /proc/self/statm and the
+/// derived fragmentation ratio; only the pressure.* mallctl leaves
+/// read it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,35 +29,7 @@
 namespace mesh {
 
 class GlobalHeap;
-
-/// Anything that can report a heap footprint. Implemented by the
-/// GlobalHeap adapter below and by the unit tests' fakes.
-class FootprintSource {
-public:
-  virtual ~FootprintSource() = default;
-  virtual HeapFootprint sampleFootprint() const = 0;
-};
-
-/// Adapter: the production FootprintSource, one page-table walk per
-/// sample (see GlobalHeap::sampleFootprint for cost and locking).
-class GlobalHeapFootprintSource final : public FootprintSource {
-public:
-  explicit GlobalHeapFootprintSource(const GlobalHeap &Heap) : Heap(Heap) {}
-  HeapFootprint sampleFootprint() const override;
-
-private:
-  const GlobalHeap &Heap;
-};
-
-/// Pressure-policy knobs (mirrors MeshOptions::PressureFragThresholdPct
-/// and PressureMinCommittedBytes; duplicated so the monitor stays
-/// testable without a full options struct).
-struct PressureConfig {
-  /// Trigger when frag ratio >= this percentage. 0 disables.
-  uint32_t FragThresholdPct = 30;
-  /// Never trigger below this committed-bytes floor.
-  size_t MinCommittedBytes = 8 * 1024 * 1024;
-};
+struct MeshOptions;
 
 /// One evaluated sample: the raw footprint plus the derived signals.
 struct PressureSample {
@@ -73,39 +45,23 @@ struct PressureSample {
   uint32_t FragPpm = 0;
 };
 
-class PressureMonitor {
-public:
-  PressureMonitor(const FootprintSource &Source, const PressureConfig &Cfg)
-      : Source(Source), Cfg(Cfg) {}
+/// Fragmentation in parts-per-million. InUse above Committed (the
+/// attached-span overcount racing a commit update) clamps to 0.
+uint32_t fragPpm(size_t CommittedBytes, size_t InUseBytes);
 
-  /// Takes a fresh footprint sample and derives the pressure signals.
-  PressureSample sample() const;
+/// The trigger policy: enabled (PressureFragThresholdPct > 0), heap at
+/// least PressureMinCommittedBytes, and at least the threshold share
+/// of its committed memory not backing live objects.
+bool underPressure(const HeapFootprint &F, const MeshOptions &Opts);
 
-  /// The trigger policy: enabled, heap big enough to care, and enough
-  /// of its committed memory not backing live objects.
-  bool underPressure(const PressureSample &S) const {
-    if (Cfg.FragThresholdPct == 0)
-      return false;
-    if (S.Footprint.CommittedBytes < Cfg.MinCommittedBytes)
-      return false;
-    return S.FragPpm >= Cfg.FragThresholdPct * 10000u;
-  }
+/// Resident-set bytes of this process via /proc/self/statm; 0 when
+/// the read fails. Allocation-free (stack buffer + raw syscalls): it
+/// runs inside an allocator.
+size_t readRssBytes();
 
-  const PressureConfig &config() const { return Cfg; }
-
-  /// Fragmentation in parts-per-million. InUse above Committed (the
-  /// attached-span overcount racing a commit update) clamps to 0.
-  static uint32_t fragPpm(size_t CommittedBytes, size_t InUseBytes);
-
-  /// Resident-set bytes of this process via /proc/self/statm; 0 when
-  /// the read fails. Allocation-free (stack buffer + raw syscalls): it
-  /// runs inside an allocator.
-  static size_t readRssBytes();
-
-private:
-  const FootprintSource &Source;
-  PressureConfig Cfg;
-};
+/// A fresh footprint of \p Heap (one page-table walk, see
+/// GlobalHeap::sampleFootprint) plus RSS and fragmentation.
+PressureSample samplePressure(const GlobalHeap &Heap);
 
 } // namespace mesh
 

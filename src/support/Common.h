@@ -49,6 +49,10 @@ inline constexpr uint32_t kMaxMeshes = 8;
 /// balances runtime and meshing effectiveness").
 inline constexpr uint32_t kDefaultMeshProbes = 64;
 
+/// Largest accepted probe budget (MESH_PROBES and the mesh.probes
+/// mallctl leaf); the smallest is 1.
+inline constexpr uint32_t kMaxMeshProbes = 1u << 20;
+
 /// Dirty pages accumulate up to this budget before being returned to
 /// the OS (paper Section 4.4.1: 64 MB).
 inline constexpr size_t kMaxDirtyBytes = 64 * 1024 * 1024;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstdint>
 #include <vector>
 
 namespace mesh {
@@ -90,6 +92,35 @@ TEST(MeshQuotaTest, MallctlRoundTrip) {
   Len = sizeof(Value);
   ASSERT_EQ(R.mallctl("mesh.max_per_pass", &Value, &Len, nullptr, 0), 0);
   EXPECT_EQ(Value, 17u);
+
+  // Out-of-range writes are refused with EINVAL and leave the old value
+  // in place: no silent truncation to 32 bits (2^32 would read back as
+  // 0, i.e. unlimited), no zero probe budget, nothing past MESH_PROBES'
+  // own limit.
+  auto Read = [&](const char *Name) {
+    uint64_t V = 0;
+    size_t L = sizeof(V);
+    EXPECT_EQ(R.mallctl(Name, &V, &L, nullptr, 0), 0) << Name;
+    return V;
+  };
+  auto Write = [&](const char *Name, uint64_t V) {
+    return R.mallctl(Name, nullptr, nullptr, &V, sizeof(V));
+  };
+  EXPECT_EQ(Write("mesh.max_per_pass", uint64_t{1} << 32), EINVAL);
+  EXPECT_EQ(Read("mesh.max_per_pass"), 17u);
+  EXPECT_EQ(Write("mesh.max_per_pass", UINT32_MAX), 0);
+  EXPECT_EQ(Read("mesh.max_per_pass"), UINT32_MAX);
+
+  const uint64_t Probes = Read("mesh.probes");
+  EXPECT_EQ(Probes, kDefaultMeshProbes);
+  EXPECT_EQ(Write("mesh.probes", 0), EINVAL);
+  EXPECT_EQ(Write("mesh.probes", (uint64_t{1} << 20) + 1), EINVAL);
+  EXPECT_EQ(Write("mesh.probes", (uint64_t{1} << 32) + 64), EINVAL);
+  EXPECT_EQ(Read("mesh.probes"), Probes);
+  EXPECT_EQ(Write("mesh.probes", uint64_t{1} << 20), 0);
+  EXPECT_EQ(Read("mesh.probes"), uint64_t{1} << 20);
+  EXPECT_EQ(Write("mesh.probes", 1), 0);
+  EXPECT_EQ(Read("mesh.probes"), 1u);
 }
 
 TEST(MeshQuotaTest, NewMallctlStats) {

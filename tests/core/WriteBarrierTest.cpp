@@ -43,7 +43,6 @@ TEST(WriteBarrierTest, WriterBlocksUntilEpochEnds) {
   Page[0] = 1;
 
   WB.beginEpoch();
-  WB.addProtectedRange(Page, kPageSize);
   ASSERT_TRUE(Arena.protect(0, 1, /*ReadOnly=*/true));
 
   std::atomic<bool> WriterDone{false};
@@ -75,7 +74,6 @@ TEST(WriteBarrierTest, ReadsSucceedDuringEpoch) {
   strcpy(Page, "readable");
 
   WB.beginEpoch();
-  WB.addProtectedRange(Page, kPageSize);
   ASSERT_TRUE(Arena.protect(0, 1, true));
   EXPECT_STREQ(Page, "readable") << "reads proceed during relocation";
   ASSERT_TRUE(Arena.protect(0, 1, false));

@@ -10,7 +10,7 @@
 ///     valid unmeshed spans with every object's contents intact;
 ///   - give-back: a hole-punch failure degrades to deferred retry, and
 ///     the deferred pages really reach the kernel after the fault
-///     clears.
+///     clears — also when the failing punches are fork prepare's.
 ///
 /// The injector state is process-global, so every test disarms it on
 /// entry and exit; a Runtime is always constructed *before* arming so
@@ -292,6 +292,78 @@ TEST(FaultInjectionTest, PunchFailureDegradesAndLaterDrains) {
   R.global().flushDirtyPages();
   EXPECT_LE(pagesToBytes(R.global().kernelFilePages()), R.committedBytes())
       << "deferred punches did not reach the kernel after recovery";
+}
+
+TEST(FaultInjectionTest, ForkWhilePunchesFailDefersDirtySpans) {
+  FaultGuard Guard;
+  MeshOptions Opts = testOptions();
+  Opts.MaxDirtyBytes = 64 * 1024 * 1024; // freed spans stay dirty
+  Runtime R(Opts);
+  constexpr int kObjects = 4096;
+  constexpr size_t kBytes = 256;
+  auto Fill = [](int I) { return static_cast<unsigned char>(I * 37 + 11); };
+  std::vector<unsigned char *> Objs;
+  for (int I = 0; I < kObjects; ++I) {
+    auto *P = static_cast<unsigned char *>(R.malloc(kBytes));
+    ASSERT_NE(P, nullptr);
+    memset(P, Fill(I), kBytes);
+    Objs.push_back(P);
+  }
+  // Detach every span, then free the first half. Spans fill one after
+  // another, so the freed half empties whole spans, which go dirty.
+  R.localHeap().releaseAll();
+  for (int I = 0; I < kObjects / 2; ++I)
+    R.free(Objs[I]);
+  ASSERT_GT(R.global().dirtyBytes(), 0u) << "test precondition: no dirty span";
+  auto SurvivorsIntact = [&] {
+    for (int I = kObjects / 2; I < kObjects; ++I)
+      for (size_t B = 0; B < kBytes; ++B)
+        if (Objs[I][B] != Fill(I))
+          return false;
+    return true;
+  };
+  auto KernelWithinCommitted = [&] {
+    return pagesToBytes(R.global().kernelFilePages()) <= R.committedBytes();
+  };
+
+  // Every punch fails, so fork prepare's flush cannot release a single
+  // dirty span. It must park each one on the deferred list instead: the
+  // child's arena rebuild replays only owned spans and requires an
+  // empty dirty set.
+  const uint64_t FallbacksBefore = readFaultStat(R, "faults.punch_fallbacks");
+  ASSERT_TRUE(sys::configureFaults("fallocate:ENOSPC:every=1"));
+  const pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    int Bad = 0;
+    if (R.global().dirtyBytes() != 0)
+      Bad |= 1;
+    if (!SurvivorsIntact())
+      Bad |= 2;
+    // The deferred punches land once the faults clear.
+    sys::clearFaults();
+    R.global().flushDirtyPages();
+    if (!KernelWithinCommitted())
+      Bad |= 4;
+    _exit(Bad);
+  }
+  int Status = 0;
+  ASSERT_EQ(waitpid(Pid, &Status, 0), Pid);
+  ASSERT_TRUE(WIFEXITED(Status)) << "child crashed (status " << Status << ")";
+  EXPECT_EQ(WEXITSTATUS(Status), 0)
+      << "child: 1 = dirty spans survived the fork, 2 = survivor "
+         "corrupted, 4 = kernel file pages above committed after recovery";
+
+  EXPECT_EQ(R.global().dirtyBytes(), 0u) << "prepare left spans dirty";
+  EXPECT_GT(readFaultStat(R, "faults.punch_fallbacks"), FallbacksBefore)
+      << "the storm never hit the prepare flush";
+  sys::clearFaults();
+  R.global().flushDirtyPages();
+  EXPECT_TRUE(KernelWithinCommitted())
+      << "deferred punches did not reach the kernel after recovery";
+  EXPECT_TRUE(SurvivorsIntact()) << "parent data damaged by the fork";
+  for (int I = kObjects / 2; I < kObjects; ++I)
+    R.free(Objs[I]);
 }
 
 TEST(FaultInjectionTest, ForkUnderFaultChildAborts) {

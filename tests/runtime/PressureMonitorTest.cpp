@@ -1,10 +1,10 @@
 //===- PressureMonitorTest.cpp - Pressure policy unit tests -----------------===//
 ///
-/// The monitor's policy is exercised against a fake FootprintSource
-/// (threshold boundaries, the committed floor, the disable switch, the
-/// clamp) and the production adapter is sanity-checked against a real
-/// heap: the invariants committed >= span >= in-use must hold on any
-/// live footprint sample.
+/// The policy is exercised on hand-built footprints (threshold
+/// boundaries, the committed floor, the disable switch, the clamp) and
+/// the production sample is sanity-checked against a real heap: the
+/// invariants committed >= span >= in-use must hold on any live
+/// footprint sample.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +12,8 @@
 
 #include "core/Runtime.h"
 #include "core/ThreadLocalHeap.h"
+
+#include "TestConfig.h"
 
 #include <gtest/gtest.h>
 
@@ -21,79 +23,67 @@ using namespace mesh;
 
 namespace {
 
-/// A FootprintSource the test scripts directly.
-class FakeSource final : public FootprintSource {
-public:
-  HeapFootprint Next;
-  HeapFootprint sampleFootprint() const override { return Next; }
-};
-
 constexpr size_t kMiB = 1024 * 1024;
 
+/// Options carrying the two pressure knobs the policy reads.
+MeshOptions pressureOptions(uint32_t FragThresholdPct,
+                            size_t MinCommittedBytes) {
+  MeshOptions Opts;
+  Opts.PressureFragThresholdPct = FragThresholdPct;
+  Opts.PressureMinCommittedBytes = MinCommittedBytes;
+  return Opts;
+}
+
+HeapFootprint footprint(size_t CommittedBytes, size_t InUseBytes) {
+  HeapFootprint F;
+  F.CommittedBytes = CommittedBytes;
+  F.InUseBytes = InUseBytes;
+  return F;
+}
+
 TEST(PressureMonitorTest, FragPpmMath) {
-  EXPECT_EQ(PressureMonitor::fragPpm(0, 0), 0u);
-  EXPECT_EQ(PressureMonitor::fragPpm(100, 100), 0u);
-  EXPECT_EQ(PressureMonitor::fragPpm(100, 50), 500000u);
-  EXPECT_EQ(PressureMonitor::fragPpm(100, 0), 1000000u);
-  EXPECT_EQ(PressureMonitor::fragPpm(4 * kMiB, 3 * kMiB), 250000u);
+  EXPECT_EQ(fragPpm(0, 0), 0u);
+  EXPECT_EQ(fragPpm(100, 100), 0u);
+  EXPECT_EQ(fragPpm(100, 50), 500000u);
+  EXPECT_EQ(fragPpm(100, 0), 1000000u);
+  EXPECT_EQ(fragPpm(4 * kMiB, 3 * kMiB), 250000u);
   // InUse above committed (attached-span overcount racing a commit
   // update) clamps to "no pressure", never wraps.
-  EXPECT_EQ(PressureMonitor::fragPpm(100, 200), 0u);
+  EXPECT_EQ(fragPpm(100, 200), 0u);
 }
 
 TEST(PressureMonitorTest, ThresholdBoundary) {
-  FakeSource Src;
-  PressureConfig Cfg;
-  Cfg.FragThresholdPct = 30;
-  Cfg.MinCommittedBytes = kMiB;
-  PressureMonitor Mon(Src, Cfg);
-
-  Src.Next.CommittedBytes = 10 * kMiB;
-  Src.Next.InUseBytes = 7 * kMiB; // exactly 30% slack
-  EXPECT_TRUE(Mon.underPressure(Mon.sample()));
-
-  Src.Next.InUseBytes = 7 * kMiB + 64 * 1024; // just under threshold
-  EXPECT_FALSE(Mon.underPressure(Mon.sample()));
-
-  Src.Next.InUseBytes = 0; // fully fragmented
-  EXPECT_TRUE(Mon.underPressure(Mon.sample()));
+  const MeshOptions Opts = pressureOptions(30, kMiB);
+  // Exactly 30% slack.
+  EXPECT_TRUE(underPressure(footprint(10 * kMiB, 7 * kMiB), Opts));
+  // Just under threshold.
+  EXPECT_FALSE(
+      underPressure(footprint(10 * kMiB, 7 * kMiB + 64 * 1024), Opts));
+  // Fully fragmented.
+  EXPECT_TRUE(underPressure(footprint(10 * kMiB, 0), Opts));
 }
 
 TEST(PressureMonitorTest, CommittedFloorSuppressesSmallHeaps) {
-  FakeSource Src;
-  PressureConfig Cfg;
-  Cfg.FragThresholdPct = 10;
-  Cfg.MinCommittedBytes = 8 * kMiB;
-  PressureMonitor Mon(Src, Cfg);
-
-  Src.Next.CommittedBytes = 8 * kMiB - 1; // fragmented but tiny
-  Src.Next.InUseBytes = 0;
-  EXPECT_FALSE(Mon.underPressure(Mon.sample()));
-
-  Src.Next.CommittedBytes = 8 * kMiB; // at the floor
-  EXPECT_TRUE(Mon.underPressure(Mon.sample()));
+  const MeshOptions Opts = pressureOptions(10, 8 * kMiB);
+  // Fragmented but tiny.
+  EXPECT_FALSE(underPressure(footprint(8 * kMiB - 1, 0), Opts));
+  // At the floor.
+  EXPECT_TRUE(underPressure(footprint(8 * kMiB, 0), Opts));
 }
 
 TEST(PressureMonitorTest, ZeroThresholdDisables) {
-  FakeSource Src;
-  PressureConfig Cfg;
-  Cfg.FragThresholdPct = 0;
-  Cfg.MinCommittedBytes = 0;
-  PressureMonitor Mon(Src, Cfg);
-  Src.Next.CommittedBytes = 100 * kMiB;
-  Src.Next.InUseBytes = 0;
-  EXPECT_FALSE(Mon.underPressure(Mon.sample()));
+  const MeshOptions Opts = pressureOptions(0, 0);
+  EXPECT_FALSE(underPressure(footprint(100 * kMiB, 0), Opts));
 }
 
 TEST(PressureMonitorTest, RssReadableOnLinux) {
-  const size_t Rss = PressureMonitor::readRssBytes();
+  const size_t Rss = readRssBytes();
   // Any live process is resident; require at least one page so a
   // silently-broken parse (returning 0) fails here.
   EXPECT_GE(Rss, kPageSize);
   // And it lands in the sample.
-  FakeSource Src;
-  PressureMonitor Mon(Src, PressureConfig{});
-  EXPECT_GE(Mon.sample().RssBytes, kPageSize);
+  GlobalHeap Heap(testOptions());
+  EXPECT_GE(samplePressure(Heap).RssBytes, kPageSize);
 }
 
 TEST(PressureMonitorTest, GlobalHeapAdapterInvariants) {
@@ -104,8 +94,7 @@ TEST(PressureMonitorTest, GlobalHeapAdapterInvariants) {
   for (int I = 0; I < 4 * 256; ++I)
     Kept.push_back(R.malloc(64));
 
-  GlobalHeapFootprintSource Src(R.global());
-  const HeapFootprint F = Src.sampleFootprint();
+  const HeapFootprint F = samplePressure(R.global()).Footprint;
   EXPECT_GT(F.InUseBytes, 0u);
   EXPECT_GT(F.SpanBytes, 0u);
   EXPECT_LE(F.InUseBytes, F.SpanBytes);
@@ -114,15 +103,13 @@ TEST(PressureMonitorTest, GlobalHeapAdapterInvariants) {
 
   // Freeing most objects through the global path (detached spans) must
   // raise the fragmentation ratio.
-  const uint32_t Before =
-      PressureMonitor::fragPpm(F.CommittedBytes, F.InUseBytes);
+  const uint32_t Before = fragPpm(F.CommittedBytes, F.InUseBytes);
   R.localHeap().releaseAll();
   for (size_t I = 0; I < Kept.size(); ++I)
     if (I % 8 != 0)
       R.free(Kept[I]);
-  const HeapFootprint After = Src.sampleFootprint();
-  const uint32_t AfterPpm =
-      PressureMonitor::fragPpm(After.CommittedBytes, After.InUseBytes);
+  const HeapFootprint After = samplePressure(R.global()).Footprint;
+  const uint32_t AfterPpm = fragPpm(After.CommittedBytes, After.InUseBytes);
   EXPECT_GT(AfterPpm, Before);
 
   for (size_t I = 0; I < Kept.size(); I += 8)
